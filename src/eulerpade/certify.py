@@ -27,12 +27,16 @@ from .errors import (
     InvalidModulusError,
     NonIntegralRootsError,
     OrderUnsupportedError,
-    RepeatedAlphaError,
     RepeatedRootsError,
     UnsupportedDescriptorError,
-    ZeroAlphaError,
 )
-from .numfield import FieldElement, QuadraticField, arch_abs_normalized
+from .numfield import (
+    FieldElement,
+    QuadraticField,
+    _as_elem,
+    _validated_points,
+    arch_abs_normalized,
+)
 from .padics import CompletionElement, euler_eval_certified
 from .places import Place, factorial_valuation, places_above, valuation
 
@@ -91,22 +95,8 @@ def _arch_value_table(K: QuadraticField, elems) -> list[list[float]]:
     return [[per_elem[j][i][1] for j in range(len(elems))] for i in range(n_places)]
 
 
-def _as_field(K: QuadraticField, value) -> FieldElement:
-    if isinstance(value, FieldElement):
-        if value.d == K.d:
-            return value
-        if value.y == 0:
-            return K(value.x)
-        raise ValueError("element belongs to a different field")
-    return K(Fraction(value))
-
-
 def _validated_alphas(K: QuadraticField, alpha_vec) -> tuple[FieldElement, ...]:
-    alphas = tuple(_as_field(K, a) for a in alpha_vec)
-    if any(not a for a in alphas):
-        raise ZeroAlphaError("evaluation points must be nonzero")
-    if len({(a.x, a.y) for a in alphas}) != len(alphas):
-        raise RepeatedAlphaError("evaluation points must be pairwise distinct")
+    alphas = _validated_points(alpha_vec, K.d)
     for a in alphas:
         if not a.is_algebraic_integer():
             raise ValueError(f"{a} is not an algebraic integer")
@@ -474,7 +464,7 @@ def linear_form_value(
 
 
 def _validated_lambdas(K: QuadraticField, lambda_vec, m: int) -> tuple[FieldElement, ...]:
-    lambdas = tuple(_as_field(K, c) for c in lambda_vec)
+    lambdas = tuple(_as_elem(c, K.d) for c in lambda_vec)
     if len(lambdas) != m + 1:
         raise ValueError(f"expected {m + 1} linear-form coefficients")
     if not any(lambdas):

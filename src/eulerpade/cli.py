@@ -1,7 +1,7 @@
 """Command-line front end with JSON output.
 
 Grammar:
-    eulerpade <pade|eval|certify|bounds|limsup|fib|residue> [options]
+    eulerpade <pade|eval|certify|bounds|limsup|fib|evenfact|residue> [options]
 
 All numeric inputs are exact rational strings ("3", "-1/2", "1/2,1/2" for
 field elements) except --logH, which is a float.  Exit codes: 0 on
@@ -87,7 +87,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _certificate_exit(args, cert) -> int:
+def _cmd_certificate(args) -> int:
+    K, lambdas, alphas = args.linear_form(args)
+    if args.p is not None:
+        p_min, p_max = args.p, args.p
+    else:
+        p_min, p_max = args.pmin, args.pmax
+    cert = certify_nonvanishing(K, lambdas, alphas, p_min, p_max, args.prec)
     payload = cert.to_json()
     if cert.status == "nonzero":
         human = (
@@ -100,19 +106,9 @@ def _certificate_exit(args, cert) -> int:
     return 0 if cert.status == "nonzero" else 2
 
 
-def _cmd_certify(args) -> int:
+def _certify_form(args):
     K = _field(args)
-    lambdas = _parse_elems(K, args.lambdas)
-    alphas = _parse_elems(K, args.alphas)
-    p_min, p_max = _prime_window(args)
-    cert = certify_nonvanishing(K, lambdas, alphas, p_min, p_max, args.prec)
-    return _certificate_exit(args, cert)
-
-
-def _prime_window(args) -> tuple[int, int]:
-    if args.p is not None:
-        return args.p, args.p
-    return args.pmin, args.pmax
+    return K, _parse_elems(K, args.lambdas), _parse_elems(K, args.alphas)
 
 
 def _cmd_bounds(args) -> int:
@@ -157,20 +153,6 @@ def _cmd_limsup(args) -> int:
     return 0
 
 
-def _cmd_fib(args) -> int:
-    K, lambdas, alphas = fibonacci_linear_form(args.a, args.b)
-    p_min, p_max = _prime_window(args)
-    cert = certify_nonvanishing(K, lambdas, alphas, p_min, p_max, args.prec)
-    return _certificate_exit(args, cert)
-
-
-def _cmd_evenfact(args) -> int:
-    K, lambdas, alphas = even_factorial_linear_form(args.a, args.b)
-    p_min, p_max = _prime_window(args)
-    cert = certify_nonvanishing(K, lambdas, alphas, p_min, p_max, args.prec)
-    return _certificate_exit(args, cert)
-
-
 def _cmd_residue(args) -> int:
     ok, slope = residue_condition(args.n, args.r, args.m)
     payload = {"n": args.n, "r": args.r, "m": args.m, "ok": ok, "slope": slope}
@@ -189,10 +171,12 @@ def _add_common(p, field=True, jsonf=True):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
-def _add_prime_window(p):
+def _add_certificate(p, linear_form):
+    p.add_argument("--prec", type=int, default=64, help="precision ladder cap")
     p.add_argument("--p", type=int, default=None, help="single prime to scan")
     p.add_argument("--pmin", type=int, default=2)
     p.add_argument("--pmax", type=int, default=50)
+    p.set_defaults(func=_cmd_certificate, linear_form=linear_form)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="search for a non-vanishing certificate")
     p.add_argument("--lambdas", required=True, help='coefficients "l0;l1;..."')
     p.add_argument("--alphas", required=True)
-    p.add_argument("--prec", type=int, default=64, help="precision ladder cap")
-    _add_prime_window(p)
+    _add_certificate(p, _certify_form)
     _add_common(p)
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("bounds", help="explicit interval and exponent at a given height")
     p.add_argument("--m", type=int, required=True)
@@ -241,18 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fib", help="certify sum n! f_n != a/b over Q(sqrt(5))")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--prec", type=int, default=64)
-    _add_prime_window(p)
+    _add_certificate(p, lambda args: fibonacci_linear_form(args.a, args.b))
     _add_common(p, field=False)
-    p.set_defaults(func=_cmd_fib)
 
     p = sub.add_parser("evenfact", help="certify sum (2n)! != a/b over Q")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--prec", type=int, default=64)
-    _add_prime_window(p)
+    _add_certificate(p, lambda args: even_factorial_linear_form(args.a, args.b))
     _add_common(p, field=False)
-    p.set_defaults(func=_cmd_evenfact)
 
     p = sub.add_parser("residue", help="residue-class sufficiency test")
     p.add_argument("--n", type=int, required=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_squarefree
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
 
 Rational = Fraction
 
@@ -200,6 +200,28 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.x}, {self.y}, d={self.d})"
+
+
+def _as_elem(value, d) -> FieldElement:
+    """value as an element of Q(sqrt(d)); rational elements of another
+    quadratic field are carried over, irrational ones are refused."""
+    if isinstance(value, FieldElement):
+        if value.d == d:
+            return value
+        if value.y == 0:
+            return FieldElement(value.x, Fraction(0), d)
+        raise ValueError("element belongs to a different field")
+    return FieldElement(Fraction(value), Fraction(0), d)
+
+
+def _validated_points(points, d) -> tuple[FieldElement, ...]:
+    """Evaluation points as elements of Q(sqrt(d)), nonzero and pairwise distinct."""
+    points = tuple(_as_elem(a, d) for a in points)
+    if any(not a for a in points):
+        raise ZeroAlphaError("evaluation points must be nonzero")
+    if len({(a.x, a.y) for a in points}) != len(points):
+        raise RepeatedAlphaError("evaluation points must be pairwise distinct")
+    return points
 
 
 def arch_abs_normalized(K: QuadraticField, a: FieldElement) -> list[tuple[str, float]]:

@@ -8,40 +8,26 @@ polynomials A_0, A_j with
 
     A_0(t) G(beta_j t) - A_j(t) = R_j(t),    ord R_j >= L + mu + l_j,
 
-where L = sum l_j and mu in {0..m} shifts the denominators.  For Euler's
-series (P(x) = 1 + x, all l_j = l) everything is cleared by (ml + mu)! so
-the polynomials B_* have algebraic-integer coefficients; the determinant of
-the (m+1) x (m+1) matrix of the B's collapses to a single monomial whose
-coefficient has a closed form, which is what guarantees a usable mu.
+where L = sum l_j and mu in {0..m} shifts the denominators.  One
+construction builds them cleared by [P]_{L+mu}: C_0 has the division-free
+coefficients sigma_i prod_{k=i+mu}^{L+mu-1} P(k), and each C_j, the
+remainder coefficients and the order check are read off the one product
+series C_0(t) G(beta_j t).  Euler's series is the case P(x) = 1 + x, where
+[P]_{ml+mu} = (ml+mu)! and the cleared polynomials B_* have
+algebraic-integer coefficients; the determinant of the (m+1) x (m+1)
+matrix of the B's collapses to a single monomial whose coefficient has a
+closed form, which is what guarantees a usable mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import (
-    AllLambdaZeroError,
-    CutoffTooSmallError,
-    DegeneratePolynomialError,
-    RepeatedAlphaError,
-    ZeroAlphaError,
-)
-from .numfield import FieldElement
+from .errors import AllLambdaZeroError, CutoffTooSmallError, DegeneratePolynomialError
+from .numfield import FieldElement, _as_elem, _validated_points
 from .padics import CompletionElement, euler_eval_certified
 from .places import Place
 from .polys import Poly
-
-
-def _as_elem(value, d) -> FieldElement:
-    if isinstance(value, FieldElement):
-        if value.d == d:
-            return value
-        if value.y == 0:
-            return FieldElement(value.x, Fraction(0), d)
-        raise ValueError("element belongs to a different field")
-    return FieldElement(Fraction(value), Fraction(0), d)
 
 
 def _common_field(elems) -> int | None:
@@ -137,21 +123,14 @@ class PadeSystem:
         return tuple(B(1) for B in self.B)
 
     def remainder_coefficient(self, n: int, j: int) -> FieldElement:
-        """Exact cleared product-series coefficient (ml+mu)! * r_{n,j} (j 1-based).
+        """Coefficient n of B_0(t) F(alpha_j t), that is (ml+mu)! * r_{n,j} (j 1-based).
 
-        r_{n,j} = sum_h sigma_{ml-h} (n-h)!/(ml-h+mu)! alpha_j^{n-h}; the
-        Pade property makes this vanish for ml+mu <= n < (m+1)l+mu.
+        It equals B_j's coefficient below ml+mu, and the Pade property makes
+        it vanish for ml+mu <= n < (m+1)l+mu.
         """
         if not 1 <= j <= self.m:
             raise ValueError(f"j must be in 1..{self.m}")
-        ml, mu = self.m * self.l, self.mu
-        top = math.factorial(ml + mu)
-        aj = self.alpha[j - 1]
-        acc = _as_elem(0, self.d)
-        for h in range(min(ml, n) + 1):
-            scale = Fraction(top * math.factorial(n - h), math.factorial(ml - h + mu))
-            acc = acc + self.sigma.coeffs[ml - h] * scale * aj ** (n - h)
-        return acc
+        return _product_series(self.B[0], 1, 1, self.alpha[j - 1], n + 1)[n]
 
     def to_json(self) -> dict:
         return {
@@ -163,13 +142,65 @@ class PadeSystem:
         }
 
 
-def _validate_alpha(alpha, d) -> tuple[FieldElement, ...]:
-    alpha = tuple(_as_elem(a, d) for a in alpha)
-    if any(not a for a in alpha):
-        raise ZeroAlphaError("evaluation points must be nonzero")
-    if len({(a.x, a.y) for a in alpha}) != len(alpha):
-        raise RepeatedAlphaError("evaluation points must be pairwise distinct")
-    return alpha
+def _product_series(a0: Poly, p0, p1, point: FieldElement, n_terms: int) -> list[FieldElement]:
+    """Coefficients 0..n_terms-1 of a0(t) G(point t), G(t) = sum_n [P]_n t^n."""
+    zero = _as_elem(0, a0.d)
+    series = [_as_elem(1, a0.d)]
+    for n in range(1, n_terms):
+        series.append(series[-1] * (p0 + p1 * (n - 1)) * point)
+    nonzero = [(h, c) for h, c in enumerate(a0.coeffs) if c]
+    out = []
+    for n in range(n_terms):
+        acc = zero
+        for h, c in nonzero:
+            if h > n:
+                break
+            acc = acc + c * series[n - h]
+        out.append(acc)
+    return out
+
+
+def _cleared_columns(
+    sv: SigmaVector, mu: int, p0, p1, d
+) -> tuple[tuple[Poly, ...], FieldElement]:
+    """The columns C = [P]_{L+mu} * A and the clearing factor [P]_{L+mu}.
+
+    C_0(t) = sum_i sigma_i prod_{k=i+mu}^{L+mu-1} P(k) t^(L-i), and C_j is
+    C_0(t) G(beta_j t) below t^(L+mu).
+    """
+    L = sv.L
+    c0 = []  # ascending, so sigma_i lands at index L - i
+    cleared = _as_elem(1, d)  # prod_{k=i+mu}^{L+mu-1} P(k)
+    for i in range(L, -1, -1):
+        c0.append(sv.coeffs[i] * cleared)
+        if i:
+            cleared = cleared * (p0 + p1 * (i - 1 + mu))
+    for k in range(mu):
+        cleared = cleared * (p0 + p1 * k)
+    columns = [Poly(c0, d)]
+    for beta in sv.beta:
+        columns.append(Poly(_product_series(columns[0], p0, p1, beta, L + mu), d))
+    return tuple(columns), cleared
+
+
+def _column_orders(columns, points, l_vec, mu: int, p0, p1, cutoff: int) -> list[int]:
+    """First nonzero exponent of C_0(t) G(beta_j t) - C_j(t) below the cutoff, per column.
+
+    The product-series coefficients must vanish on the band
+    L+mu <= n < L+mu+l_j; a violation raises RuntimeError.
+    """
+    start = sum(l_vec) + mu
+    if cutoff < start + max(l_vec) + 5:
+        raise CutoffTooSmallError(f"cutoff must be at least {start + max(l_vec) + 5}")
+    orders = []
+    for j, (point, lj) in enumerate(zip(points, l_vec), start=1):
+        series = _product_series(columns[0], p0, p1, point, cutoff + 1)
+        for n in range(start, start + lj):
+            if series[n]:
+                raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
+        column = columns[j]
+        orders.append(next((n for n, c in enumerate(series) if c != column[n]), cutoff))
+    return orders
 
 
 def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
@@ -177,69 +208,33 @@ def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
 
     B_0(t) = sum_i sigma_i ((ml+mu)!/(i+mu)!) t^(ml-i) of degree ml, and
     B_j collects the product-series coefficients below t^(ml+mu); all
-    coefficients are algebraic integers.
+    coefficients are algebraic integers.  These are the generic columns
+    for P(x) = 1 + x, where the clearing factor [P]_{ml+mu} is (ml+mu)!.
     """
     if m < 1 or l < 1 or not 0 <= mu <= m:
         raise ValueError("need m >= 1, l >= 1, 0 <= mu <= m")
     if len(alpha) != m:
         raise ValueError(f"expected {m} evaluation points")
     d = _common_field(a for a in alpha if isinstance(a, FieldElement))
-    alpha = _validate_alpha(alpha, d)
+    alpha = _validated_points(alpha, d)
     sv = sigma_coeffs([l] * m, alpha)
-    ml = m * l
-    top = math.factorial(ml + mu)
-    b0 = [_as_elem(0, d)] * (ml + 1)
-    for i, sig in enumerate(sv.coeffs):
-        b0[ml - i] = sig * (top // math.factorial(i + mu))
-    systems = [Poly(b0, d)]
-    for j in range(1, m + 1):
-        aj = alpha[j - 1]
-        coeffs = []
-        for n in range(ml + mu):
-            acc = _as_elem(0, d)
-            for h in range(min(ml, n) + 1):
-                scale = top * math.factorial(n - h) // math.factorial(ml - h + mu)
-                acc = acc + sv.coeffs[ml - h] * scale * aj ** (n - h)
-            coeffs.append(acc)
-        systems.append(Poly(coeffs, d))
-    return PadeSystem(m, l, mu, alpha, sv, tuple(systems), d)
-
-
-def _euler_series_poly(point: FieldElement, cutoff: int, d) -> Poly:
-    coeffs = []
-    term = _as_elem(1, d)
-    for n in range(cutoff + 1):
-        if n > 0:
-            term = term * point * n
-        coeffs.append(term)
-    return Poly(coeffs, d)
+    columns, _ = _cleared_columns(sv, mu, 1, 1, d)
+    return PadeSystem(m, l, mu, alpha, sv, columns, d)
 
 
 def pade_order_check(system: PadeSystem, cutoff: int) -> int:
     """Minimal vanishing order over j of B_0(t) F(alpha_j t) - B_j(t).
 
-    Multiplies B_0 by the exactly truncated series, subtracts B_j, and
-    returns the smallest first-nonzero exponent across columns; it also
-    confirms the cleared product-series coefficients vanish on the whole
-    band ml+mu <= n < (m+1)l+mu.
+    Expands B_0 times the exactly truncated series, compares it with B_j,
+    and returns the smallest first-nonzero exponent across columns; it also
+    confirms the product-series coefficients vanish on the whole band
+    ml+mu <= n < (m+1)l+mu.
     """
-    target = system.order_target
-    if cutoff < target + 5:
-        raise CutoffTooSmallError(f"cutoff must be at least {target + 5}")
-    for n in range(system.m * system.l + system.mu, target):
-        for j in range(1, system.m + 1):
-            if system.remainder_coefficient(n, j):
-                raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
-    best = None
-    for j in range(1, system.m + 1):
-        series = _euler_series_poly(system.alpha[j - 1], cutoff, system.d)
-        product = (system.B[0] * series).truncate(cutoff + 1)
-        remainder = product - system.B[j].truncate(cutoff + 1)
-        order = remainder.first_nonzero_exponent()
-        if order is None:
-            order = cutoff
-        best = order if best is None else min(best, order)
-    return best
+    return min(
+        _column_orders(
+            system.B, system.alpha, [system.l] * system.m, system.mu, 1, 1, cutoff
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -255,53 +250,24 @@ class GenericPadeSystem:
     A: tuple[Poly, ...]
     d: int | None
 
-    def factorial_product(self, n: int) -> FieldElement:
-        """[P]_n = prod_{k<n} (p0 + p1 k)."""
-        acc = _as_elem(1, self.d)
-        for k in range(n):
-            acc = acc * (self.p0 + self.p1 * k)
-        return acc
-
     def remainder_coefficient(self, n: int, j: int) -> FieldElement:
-        """Product-series coefficient r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}."""
+        """Coefficient n of A_0(t) G(beta_j t), that is
+        r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}."""
         if not 1 <= j <= len(self.beta):
             raise ValueError(f"j must be in 1..{len(self.beta)}")
-        L = self.sigma.L
-        bj = self.beta[j - 1]
-        acc = _as_elem(0, self.d)
-        for h in range(min(L, n) + 1):
-            ratio = self.factorial_product(n - h) / self.factorial_product(L - h + self.mu)
-            acc = acc + self.sigma.coeffs[L - h] * ratio * bj ** (n - h)
-        return acc
+        return _product_series(self.A[0], self.p0, self.p1, self.beta[j - 1], n + 1)[n]
 
     def order_check(self, cutoff: int) -> list[int]:
         """First nonzero exponent of A_0(t) G(beta_j t) - A_j(t), per column."""
-        L = self.sigma.L
-        if cutoff < L + self.mu + max(self.l_vec) + 5:
-            raise CutoffTooSmallError(
-                f"cutoff must be at least {L + self.mu + max(self.l_vec) + 5}"
-            )
-        orders = []
-        for j in range(1, len(self.beta) + 1):
-            coeffs = []
-            term = _as_elem(1, self.d)
-            for n in range(cutoff + 1):
-                if n > 0:
-                    term = term * (self.p0 + self.p1 * (n - 1)) * self.beta[j - 1]
-                coeffs.append(term)
-            series = Poly(coeffs, self.d)
-            product = (self.A[0] * series).truncate(cutoff + 1)
-            remainder = product - self.A[j].truncate(cutoff + 1)
-            order = remainder.first_nonzero_exponent()
-            orders.append(cutoff if order is None else order)
-        return orders
+        return _column_orders(self.A, self.beta, self.l_vec, self.mu, self.p0, self.p1, cutoff)
 
 
 def pade_generic(l_vec, mu: int, beta, p0, p1) -> GenericPadeSystem:
     """Build A_0(t) = sum_i sigma_i/[P]_{i+mu} t^(L-i) and the matching A_j.
 
     The orders l_j may differ from column to column; the remainder in
-    column j vanishes to order at least L + mu + l_j.
+    column j vanishes to order at least L + mu + l_j.  The columns are the
+    cleared ones divided by [P]_{L+mu}.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -313,33 +279,13 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> GenericPadeSystem:
     if not p1:
         raise DegeneratePolynomialError("P must have degree exactly one")
     sv = sigma_coeffs(l_vec, beta)
-    L = sv.L
-
-    def prod(n: int) -> FieldElement:
-        acc = _as_elem(1, d)
-        for k in range(n):
-            acc = acc * (p0 + p1 * k)
-        return acc
-
-    products = [prod(n) for n in range(L + mu + 1)]
-    if any(not q for q in products[mu:]):
+    columns, cleared = _cleared_columns(sv, mu, p0, p1, d)
+    if not cleared:
         raise ZeroDivisionError("P vanishes at a nonnegative integer below L + mu")
-    a0 = [_as_elem(0, d)] * (L + 1)
-    for i, sig in enumerate(sv.coeffs):
-        a0[L - i] = sig / products[i + mu]
-    columns = [Poly(a0, d)]
-    for j in range(1, len(sv.beta) + 1):
-        bj = sv.beta[j - 1]
-        coeffs = []
-        for n in range(L + mu):
-            acc = _as_elem(0, d)
-            for h in range(min(L, n) + 1):
-                ratio = products[n - h] / products[L - h + mu]
-                acc = acc + sv.coeffs[L - h] * ratio * bj ** (n - h)
-            coeffs.append(acc)
-        columns.append(Poly(coeffs, d))
+    scale = cleared.inverse()
     return GenericPadeSystem(
-        tuple(int(l) for l in l_vec), mu, sv.beta, p0, p1, sv, tuple(columns), d
+        tuple(int(l) for l in l_vec), mu, sv.beta, p0, p1, sv,
+        tuple(column * scale for column in columns), d,
     )
 
 

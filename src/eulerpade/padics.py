@@ -13,6 +13,9 @@ back to sqrt(d)-coordinates (then possibly half-integral) for output.
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
 target precision.  The resulting CertifiedValue pins the series sum mod p^N.
+One loop sums every factorial series sum_n [P]_n t^n with deg P = 1;
+Euler's series is P(x) = 1 + x.  When P has rational-integer coefficients
+the factors P(k) stay plain ints, valued by v_p alone.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count
 
 from .arith import is_prime, legendre_symbol, canonical_sqrt_mod, padic_ord_int
 from .errors import (
@@ -28,7 +33,7 @@ from .errors import (
     NotSplitError,
     PrecisionCapError,
 )
-from .numfield import FieldElement
+from .numfield import FieldElement, _as_elem
 from .places import INERT, RATIONAL, SPLIT_1, SPLIT_2, Place, valuation
 
 #: hard ceiling on the requested residue precision N
@@ -95,12 +100,7 @@ class CompletionElement:
     @classmethod
     def from_field_element(cls, place: Place, n: int, value) -> CompletionElement:
         """Reduce an exact element with w_v >= 0 to its residue mod p^N."""
-        if isinstance(value, (int, Fraction)):
-            value = FieldElement(Fraction(value), Fraction(0), place.d)
-        if value.d != place.d:
-            if value.y != 0:
-                raise ValueError("element belongs to a different field")
-            value = FieldElement(value.x, Fraction(0), place.d)
+        value = _as_elem(value, place.d)
         p = place.p
         mod = p**n
         basis = _basis_for(place)
@@ -257,46 +257,21 @@ def _check_precision(n: int) -> None:
         raise PrecisionCapError(f"requested precision {n} exceeds cap {PRECISION_CAP}")
 
 
-def _as_place_element(place: Place, value) -> FieldElement:
-    if isinstance(value, (int, Fraction)):
-        return FieldElement(Fraction(value), Fraction(0), place.d)
-    if value.d != place.d:
-        if value.y != 0:
-            raise ValueError("element belongs to a different field")
-        return FieldElement(value.x, Fraction(0), place.d)
-    return value
-
-
 def euler_eval_certified(v: Place, alpha, n_target: int) -> CertifiedValue:
     """Sum n! * alpha^n in the completion at v until the tail provably
     lies above w_v = n_target.
 
-    alpha must be an algebraic integer, so every term has w_v >= 0 and
-    v_p(n!) + n*w_v(alpha) is a nondecreasing exact lower bound for the
-    term at index n; the first index whose bound reaches the target closes
-    the sum, and the bound achieved there is reported.
+    This is the factorial series at P(x) = 1 + x.  alpha must be an
+    algebraic integer, so v_p(n!) + n*w_v(alpha) is a nondecreasing exact
+    lower bound for the term at index n; the first index whose bound
+    reaches the target closes the sum, and the bound achieved there is
+    reported.
     """
     _check_precision(n_target)
-    alpha = _as_place_element(v, alpha)
+    alpha = _as_elem(alpha, v.d)
     if not alpha.is_algebraic_integer():
         raise ValueError(f"{alpha} is not an algebraic integer")
-    one = CompletionElement.one(v, n_target)
-    if not alpha:
-        return CertifiedValue(one, Fraction(n_target), 1)
-    w_alpha = valuation(v, alpha)
-    alpha_c = CompletionElement.from_field_element(v, n_target, alpha)
-    acc = one
-    term = one
-    vp_factorial = 0
-    n = 0
-    while True:
-        n += 1
-        vp_factorial += padic_ord_int(n, v.p)
-        bound = vp_factorial + n * w_alpha
-        if bound >= n_target:
-            return CertifiedValue(acc, Fraction(bound), n)
-        term = term * alpha_c * n
-        acc = acc + term
+    return _sum_factorial_series(v, 1, 1, alpha, n_target, None)
 
 
 def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedValue:
@@ -308,36 +283,50 @@ def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedVal
     target.  If no term does so by n_max the evaluation refuses to answer.
     """
     _check_precision(n_target)
-    p0 = _as_place_element(v, p0)
-    p1 = _as_place_element(v, p1)
-    t = _as_place_element(v, t)
+    p0 = _as_elem(p0, v.d)
+    p1 = _as_elem(p1, v.d)
+    t = _as_elem(t, v.d)
     if not p1:
         raise DegeneratePolynomialError("the coefficient polynomial must have degree one")
     for name, val in (("p0", p0), ("p1", p1), ("t", t)):
         if not val.is_algebraic_integer():
             raise ValueError(f"{name} = {val} is not an algebraic integer")
+    if not (p0.y or p1.y):
+        # integral rational coefficients: every factor P(k) is a plain int
+        p0, p1 = int(p0.x), int(p1.x)
+    return _sum_factorial_series(v, p0, p1, t, n_target, n_max)
+
+
+def _sum_factorial_series(
+    v: Place, p0, p1, t: FieldElement, n_target: int, n_max
+) -> CertifiedValue:
+    """The certified sum of [P]_n t^n, P(x) = p0 + p1*x, for validated inputs.
+
+    t is an algebraic integer, so w_v(t) >= 0; p0 and p1 are either both
+    ints or both algebraic-integer field elements.  n_max None sums
+    without a term limit.
+    """
     one = CompletionElement.one(v, n_target)
     if not t:
         return CertifiedValue(one, Fraction(n_target), 1)
     w_t = valuation(v, t)
-    if w_t < 0:
-        raise ValueError(f"t = {t} has negative valuation at {v}")
+    if isinstance(p0, int):
+        factor_valuation = partial(padic_ord_int, p=v.p)
+    else:
+        factor_valuation = partial(valuation, v)
     t_c = CompletionElement.from_field_element(v, n_target, t)
-    acc = one
-    term = one
-    w_prod = Fraction(0)
-    n = 0
-    while n < n_max:
-        n += 1
+    acc = term = one
+    w_prod = 0
+    for n in count(1) if n_max is None else range(1, n_max + 1):
         factor = p0 + p1 * (n - 1)
         if not factor:
             # the factor product vanishes from here on: the tail is exactly 0
-            return CertifiedValue(acc, Fraction(max(n_target, 0)), n)
-        w_prod += valuation(v, factor)
+            return CertifiedValue(acc, Fraction(n_target), n)
+        w_prod += factor_valuation(factor)
         bound = w_prod + n * w_t
         if bound >= n_target:
-            return CertifiedValue(acc, bound, n)
-        term = term * CompletionElement.from_field_element(v, n_target, factor) * t_c
+            return CertifiedValue(acc, Fraction(bound), n)
+        term = term * t_c * factor
         acc = acc + term
     raise NoConvergenceError(
         f"no term reached valuation {n_target} within {n_max} terms at {v}"

@@ -22,7 +22,7 @@ from .arith import (
     padic_ord_int,
 )
 from .errors import InvalidPrimeError, PrecisionCapError, ZeroElementError
-from .numfield import FieldElement, QuadraticField, arch_abs_normalized
+from .numfield import FieldElement, QuadraticField, _as_elem, arch_abs_normalized
 
 RATIONAL = "rational"
 SPLIT_1 = "split_1"
@@ -133,14 +133,9 @@ def _split_valuation(v: Place, a: FieldElement) -> Fraction:
 
 def valuation(v: Place, a: FieldElement) -> Fraction:
     """Exact w_v(a), normalized so w_v(p) = 1."""
-    if isinstance(a, (int, Fraction)):
-        a = FieldElement(Fraction(a), Fraction(0), v.d)
+    a = _as_elem(a, v.d)
     if not a:
         raise ZeroElementError("w_v(0) is undefined")
-    if a.d != v.d:
-        if a.y != 0:
-            raise ValueError(f"element of Q(sqrt({a.d})) at a place of Q(sqrt({v.d}))")
-        a = FieldElement(a.x, Fraction(0), v.d)
     if v.splitting == RATIONAL:
         return Fraction(padic_ord(a.x, v.p))
     if v.splitting in (SPLIT_1, SPLIT_2):

@@ -7,15 +7,7 @@ Pade construction needs lives here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .numfield import FieldElement
-
-
-def _as_elem(value, d) -> FieldElement:
-    if isinstance(value, FieldElement):
-        return value
-    return FieldElement(Fraction(value), Fraction(0), d)
+from .numfield import FieldElement, _as_elem
 
 
 class Poly:

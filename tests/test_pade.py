@@ -140,6 +140,45 @@ def test_pade_validation():
         pade_order_check(pade_construct(1, 1, 0, [1]), 3)
 
 
+def reference_column(system, j, n):
+    """The explicit closed form of coefficient n of B_0(t) F(alpha_j t):
+    sum_h sigma_{ml-h} (ml+mu)! (n-h)!/(ml-h+mu)! alpha_j^(n-h)."""
+    ml, mu = system.m * system.l, system.mu
+    top = math.factorial(ml + mu)
+    alpha = system.alpha[j - 1]
+    acc = QuadraticField(system.d)(0)
+    for h in range(min(ml, n) + 1):
+        scale = Fraction(top * math.factorial(n - h), math.factorial(ml - h + mu))
+        acc = acc + system.sigma.coeffs[ml - h] * scale * alpha ** (n - h)
+    return acc
+
+
+def test_pade_columns_match_closed_form(K5):
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    pools = [
+        [QuadraticField()(a) for a in (1, -2, 3)],
+        [phi, phi.conjugate(), K5.sqrt_gen()],
+    ]
+    for points in pools:
+        for m in (1, 2, 3):
+            for l in (1, 2, 3):
+                for mu in range(m + 1):
+                    system = pade_construct(m, l, mu, points[:m])
+                    ml = m * l
+                    top = math.factorial(ml + mu)
+                    for i, sig in enumerate(system.sigma.coeffs):
+                        assert system.B[0][ml - i] == sig * (top // math.factorial(i + mu))
+                    for j in range(1, m + 1):
+                        for n in range(system.order_target + 3):
+                            expected = reference_column(system, j, n)
+                            assert system.remainder_coefficient(n, j) == expected
+                            if n < ml + mu:
+                                assert system.B[j][n] == expected
+                            elif n < system.order_target:
+                                assert not expected
+                        assert system.B[j].degree < ml + mu
+
+
 def test_pade_generic_reduces_to_cleared():
     # P(x) = 1 + x scaled by (L + mu)! reproduces the cleared polynomials
     for m, l, mu, alphas in [(1, 1, 0, [1]), (2, 1, 1, [1, 2]), (1, 2, 1, [-2])]:

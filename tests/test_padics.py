@@ -147,19 +147,52 @@ def test_tail_bound_soundness(K5, KQ):
         assert extended == cv.value
 
 
-def test_genfact_matches_euler(K5, KQ):
+def exact_partial_sum(K, p0, p1, t, terms):
+    """sum_{n < terms} [P]_n t^n in the field, P(x) = p0 + p1 x."""
+    total, term = K(0), K(1)
+    for n in range(terms):
+        if n > 0:
+            term = term * (p0 + p1 * (n - 1)) * t
+        total = total + term
+    return total
+
+
+def test_genfact_matches_exact_sums(K5, Km1, KQ):
+    # each certified residue must agree to within w_v >= N with the exact
+    # field sum of the terms it used, and with twice as many terms, which
+    # a cut made too early would miss; p0 = p1 = 1 is Euler's series
     phi = K5(Fraction(1, 2), Fraction(1, 2))
-    for v, alpha in [
-        (places_above(KQ, 2)[0], KQ(1)),
-        (places_above(K5, 2)[0], phi),
-        (places_above(K5, 11)[1], K5(2)),
-        (places_above(K5, 5)[0], K5.sqrt_gen()),  # fractional w(t) = 1/2
-    ]:
-        direct = euler_eval_certified(v, alpha, 6)
-        via_product = genfact_eval(v, 1, 1, alpha, 6, 10_000)
-        assert via_product.value == direct.value
-        assert via_product.tail_valuation_bound == direct.tail_valuation_bound
-        assert via_product.terms_used == direct.terms_used
+    K3 = QuadraticField(3)
+    split, split_2 = places_above(K5, 11)
+    (inert,) = places_above(K5, 2)
+    (ramified,) = places_above(K5, 5)
+    (ramified_2,) = places_above(Km1, 2)  # d = 3 mod 4
+    cases = [
+        (places_above(KQ, 2)[0], KQ(1), KQ(1), KQ(1), 6),
+        (inert, K5(1), K5(1), phi, 6),
+        (split_2, K5(1), K5(1), K5(2), 6),
+        (ramified, K5(1), K5(1), K5.sqrt_gen(), 6),  # fractional w(t) = 1/2
+        (places_above(KQ, 3)[0], KQ(1), KQ(1), KQ(2), 40),
+        (ramified_2, Km1(1), Km1(1), Km1(1, 1), 32),
+        (places_above(K3, 2)[0], K3(1), K3(1), K3(1, 1), 32),
+        (split, phi, K5(1), K5(3), 32),
+        (split_2, phi, K5(1), phi, 8),
+        (inert, phi, K5(1), K5(2), 32),
+        (ramified, phi, K5(1), K5.sqrt_gen(), 8),
+        (ramified_2, Km1(0, 1), Km1(1), Km1(1, 1), 16),
+        (places_above(KQ, 5)[0], KQ(2), KQ(3), KQ(5), 32),
+    ]
+    for v, p0, p1, t, N in cases:
+        K = QuadraticField(v.d)
+        results = [genfact_eval(v, p0, p1, t, N, 10_000)]
+        if p0 == 1 and p1 == 1:
+            results.append(euler_eval_certified(v, t, N))
+        for cv in results:
+            assert cv.value.n == N and cv.tail_valuation_bound >= N
+            residue = K(*cv.value.sqrt_coordinates())
+            for terms in (cv.terms_used, 2 * cv.terms_used):
+                diff = exact_partial_sum(K, p0, p1, t, terms) - residue
+                assert not diff or valuation(v, diff) >= N
 
 
 def test_genfact_odd_double_factorial(KQ):
