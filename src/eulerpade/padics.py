@@ -14,8 +14,13 @@ Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
 target precision.  The resulting CertifiedValue pins the series sum mod p^N.
 One loop sums every factorial series sum_n [P]_n t^n with deg P = 1;
-Euler's series is P(x) = 1 + x.  When P has rational-integer coefficients
-the factors P(k) stay plain ints, valued by v_p alone.
+Euler's series is P(x) = 1 + x.  It runs on plain ints: the term and the
+partial sum are int residues mod p^N, or int pairs at inert and ramified
+places, and valuations are counted in half-units; only the result becomes a
+CompletionElement.  When P has rational-integer coefficients the factors
+P(k) stay plain ints, valued by v_p alone.  When w_v(t) = 0 and P(0), ...,
+P(p-1) are all units, no term can ever clear the target, and the sum
+refuses at once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import count
 
 from .arith import is_prime, legendre_symbol, canonical_sqrt_mod, padic_ord_int
@@ -280,7 +284,9 @@ def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedVal
     The factor products have nondecreasing valuation because every factor
     is an algebraic integer, so the term bound w([prod]_n) + n*w(t) is
     tracked exactly and the cut is sound as soon as one term clears the
-    target.  If no term does so by n_max the evaluation refuses to answer.
+    target.  If no term does so by n_max the evaluation refuses to answer;
+    it refuses after p terms when w_v(t) = 0 and P(0), ..., P(p-1) are all
+    units, since then every P(k) is a unit and no term ever can.
     """
     _check_precision(n_target)
     p0 = _as_elem(p0, v.d)
@@ -304,30 +310,75 @@ def _sum_factorial_series(
 
     t is an algebraic integer, so w_v(t) >= 0; p0 and p1 are either both
     ints or both algebraic-integer field elements.  n_max None sums
-    without a term limit.
+    without a term limit.  Valuations are counted in half-units (w2 is
+    2*w_v), which keeps them ints at ramified places too.
     """
-    one = CompletionElement.one(v, n_target)
+    p = v.p
     if not t:
-        return CertifiedValue(one, Fraction(n_target), 1)
-    w_t = valuation(v, t)
-    if isinstance(p0, int):
-        factor_valuation = partial(padic_ord_int, p=v.p)
-    else:
-        factor_valuation = partial(valuation, v)
+        return CertifiedValue(CompletionElement.one(v, n_target), Fraction(n_target), 1)
+    mod = p**n_target
     t_c = CompletionElement.from_field_element(v, n_target, t)
-    acc = term = one
-    w_prod = 0
+    basis = t_c.basis
+    # t's residue with signed coordinates: a t with small coordinates keeps
+    # them, so each step multiplies the term by a short int
+    ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
+    # a pair (a, b) is a + b*x with x^2 = c + s*x: x = sqrt(d) has c = d,
+    # s = 0, and omega = (1 + sqrt(d))/2 has c = (d - 1)/4, s = 1; int
+    # residues keep b = 0, so c does not matter there
+    s = int(basis == _OMEGA)
+    c = (v.d - 1) // 4 if s else v.d or 0
+
+    def mul(a1, b1, a2, b2):
+        bb = b1 * b2
+        return (a1 * a2 + c * bb) % mod, (a1 * b2 + b1 * a2 + s * bb) % mod
+
+    w2_t = int(2 * valuation(v, t))
+    algebraic = not isinstance(p0, int)
+    if algebraic:
+        # the residue of P(n-1), stepped by the residue of p1
+        f = CompletionElement.from_field_element(v, n_target, p0)
+        step = CompletionElement.from_field_element(v, n_target, p1)
+        fa, fb = f.a, f.b
+
+    a, b = 1, 0  # the term [P]_(n-1) t^(n-1)
+    sa, sb = 1, 0  # the partial sum, reduced at the return
+    w2_prod = 0
+
+    def certified(w2, n):
+        value = CompletionElement(v, n_target, basis, sa % mod, sb % mod)
+        return CertifiedValue(value, Fraction(w2, 2), n)
+
     for n in count(1) if n_max is None else range(1, n_max + 1):
         factor = p0 + p1 * (n - 1)
         if not factor:
             # the factor product vanishes from here on: the tail is exactly 0
-            return CertifiedValue(acc, Fraction(n_target), n)
-        w_prod += factor_valuation(factor)
-        bound = w_prod + n * w_t
-        if bound >= n_target:
-            return CertifiedValue(acc, Fraction(bound), n)
-        term = term * t_c * factor
-        acc = acc + term
+            return certified(2 * n_target, n)
+        if algebraic:
+            w2_prod += int(2 * valuation(v, factor))
+        elif factor % p == 0:
+            w2_prod += 2 * padic_ord_int(factor, p)
+        bound2 = w2_prod + n * w2_t
+        if bound2 >= 2 * n_target:
+            return certified(bound2, n)
+        if n == p and bound2 == 0:
+            # w_v(P(k + p) - P(k)) = w_v(p*p1) >= 1, so P(k) is a unit for
+            # every k: the term bound stays 0 for ever
+            raise NoConvergenceError(
+                f"P(k) is a unit at {v} for k < {p}, hence for every k, and "
+                f"w_v(t) = 0: no term can reach valuation {n_target}"
+            )
+        # the multiplier t*P(n-1) taking the term at n-1 to the one at n
+        if algebraic:
+            ma, mb = mul(ta, tb, fa, fb)
+            fa, fb = fa + step.a, fb + step.b
+        else:
+            ma, mb = ta * factor, tb * factor
+        if basis == _INT:
+            a = a * ma % mod
+        else:
+            a, b = mul(a, b, ma, mb)
+            sb += b
+        sa += a
     raise NoConvergenceError(
         f"no term reached valuation {n_target} within {n_max} terms at {v}"
     )

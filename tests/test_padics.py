@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
+import eulerpade.padics as padics
 from eulerpade.arith import legendre_symbol, primes_upto
 from eulerpade.errors import NoConvergenceError, NotSplitError, PrecisionCapError
 from eulerpade.numfield import QuadraticField
@@ -292,3 +294,186 @@ def test_completion_valuation_lower(K5, Km1, KQ):
                 assert exact >= 12
             else:
                 assert got == exact
+
+
+def _vp(q, p):
+    """v_p of a nonzero rational, by repeated division."""
+    q = Fraction(q)
+    num, den, k = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num //= p
+        k += 1
+    while den % p == 0:
+        den //= p
+        k -= 1
+    return k
+
+
+def _reaches(v, z, N):
+    """Whether w_v(z) >= N for an algebraic integer z, decided from the norm
+    at inert and ramified places and from an independently lifted root of d
+    at split places over odd p, without the library's valuations or
+    residues."""
+    if not z:
+        return True
+    p = v.p
+    if v.splitting == "rational":
+        return _vp(z.x, p) >= N
+    if v.splitting in ("inert", "ramified"):
+        return _vp(z.norm(), p) >= 2 * N
+    # split: sqrt(d) maps to the lift of the smaller root mod p (split_1)
+    # or to its negative (split_2); Newton's step doubles the digits fixed
+    mod = p**N
+    r = min(x for x in range(p) if (x * x - v.d) % p == 0)
+    for _ in range(N.bit_length() + 1):
+        r = (r - (r * r - v.d) * pow(2 * r, -1, mod)) % mod
+    if v.splitting == "split_2":
+        r = -r
+    image = z.x + z.y * r
+    return image.numerator % mod == 0
+
+
+def test_anchor_matches_plain_int_sum(KQ):
+    # p = 101, N = 256: a bare-int sum of n! alpha^n mod p^N, cut at the
+    # least n with v_101(n!) >= 256 by Legendre's formula
+    p, N = 101, 256
+    (v,) = places_above(KQ, p)
+
+    def legendre(n):
+        k, q = 0, p
+        while q <= n:
+            k += n // q
+            q *= p
+        return k
+
+    stop = next(n for n in count(1) if legendre(n) >= N)
+    assert stop == 25654
+    mod = p**N
+    for alpha in (37, -2):
+        total, term = 1, 1
+        for n in range(1, stop):
+            term = term * n * alpha % mod
+            total += term
+        cv = euler_eval_certified(v, alpha, N)
+        assert cv.terms_used == stop
+        assert cv.tail_valuation_bound == N
+        assert cv.value.a == total % mod
+
+
+def test_high_precision_matches_exact_sums(K5, Km1):
+    # N = 64..128 at every kind of place; the residue must agree to within
+    # w_v >= N with the exact field sum of the terms used and of twice as many
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    split, split_2 = places_above(K5, 11)
+    (inert_sqrt,) = places_above(K5, 3)
+    (inert_omega,) = places_above(K5, 2)
+    (ramified,) = places_above(K5, 5)
+    (ramified_2,) = places_above(Km1, 2)  # d = 3 mod 4
+    cases = [
+        (split, K5(1), K5(1), K5(3), 64),
+        (split_2, K5(1), K5(1), phi, 64),
+        (inert_sqrt, K5(1), K5(1), phi, 128),
+        (inert_omega, K5(1), K5(1), phi, 128),
+        (inert_omega, K5(3), K5(2), K5(2), 96),
+        (ramified, K5(1), K5(1), K5.sqrt_gen(), 96),
+        (ramified, K5(2), K5(3), K5(3), 64),
+        (ramified_2, Km1(1), Km1(1), Km1(1, 1), 64),
+        (ramified_2, Km1(1), Km1(1), Km1(0, 1), 128),
+        (split, phi, K5(1), K5(3), 64),  # algebraic P = phi + x
+    ]
+    for v, p0, p1, t, N in cases:
+        K = QuadraticField(v.d)
+        cv = genfact_eval(v, p0, p1, t, N, 10**6)
+        assert cv.value.n == N and cv.tail_valuation_bound >= N
+        residue = K(*cv.value.sqrt_coordinates())
+        for terms in (cv.terms_used, 2 * cv.terms_used):
+            assert _reaches(v, exact_partial_sum(K, p0, p1, t, terms) - residue, N), (v, N, terms)
+
+
+def test_genfact_refuses_when_every_factor_is_a_unit(K5, monkeypatch):
+    # P(k + 2) - P(k) = 2*p1, so units P(0) = 3 and P(1) = 5 make every P(k)
+    # a unit at inert@2, and with w(t) = 0 no term can ever reach N
+    (inert,) = places_above(K5, 2)
+    with pytest.raises(NoConvergenceError, match="k < 2"):
+        genfact_eval(inert, 3, 2, 1, 16, 10**6)
+    # with algebraic P = phi + 2x one exact valuation is taken for t and
+    # one for each factor summed: the refusal comes after two terms
+    calls = []
+
+    def counted(v, a):
+        calls.append(a)
+        return valuation(v, a)
+
+    monkeypatch.setattr(padics, "valuation", counted)
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(NoConvergenceError, match="unit"):
+        genfact_eval(inert, phi, K5(2), K5(1), 16, 10**6)
+    assert len(calls) == 3
+
+
+def test_genfact_refusal_iff_unit_factors(KQ, K5, Km1):
+    # the sum refuses exactly when w_v(t) = 0 and P(0), ..., P(p-1) are
+    # units; otherwise the factor valuations grow and it answers
+    places = [
+        places_above(KQ, 3)[0],
+        places_above(KQ, 5)[0],
+        places_above(K5, 2)[0],
+        places_above(K5, 3)[0],
+        places_above(K5, 5)[0],
+        places_above(Km1, 2)[0],
+    ]
+    for v in places:
+        K = QuadraticField(v.d)
+        p = v.p
+        coefficients = [K(a) for a in range(-3, 4)]
+        if v.d is not None:
+            coefficients += [K(a, 1) for a in range(-2, 3)]
+        for p0 in coefficients:
+            for p1 in (K(1), K(2), K(p)) + ((K(1, -1),) if v.d is not None else ()):
+                units = all(
+                    (p0 + p1 * k) and _vp((p0 + p1 * k).norm(), p) == 0 for k in range(p)
+                )
+                for t in (K(1), K(p)):
+                    try:
+                        cv = genfact_eval(v, p0, p1, t, 8, 10**4)
+                    except NoConvergenceError:
+                        assert units and t == 1, (v, p0, p1, t)
+                    else:
+                        assert not (units and t == 1), (v, p0, p1, t)
+                        assert cv.tail_valuation_bound >= 8
+
+
+def test_summation_loop_is_int_native(monkeypatch, KQ, K5, Km1):
+    # the loop must not do CompletionElement arithmetic: with it disabled,
+    # an evaluation at every kind of place still gives the same result
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    split, split_2 = places_above(K5, 11)
+    cases = [
+        (euler_eval_certified, places_above(KQ, 7)[0], (KQ(-3),)),
+        (euler_eval_certified, split, (phi,)),
+        (euler_eval_certified, split_2, (K5(2, 1),)),
+        (euler_eval_certified, places_above(K5, 3)[0], (phi,)),  # inert, sqrt basis
+        (euler_eval_certified, places_above(K5, 2)[0], (phi,)),  # inert, omega basis
+        (euler_eval_certified, places_above(K5, 5)[0], (K5.sqrt_gen(),)),
+        (euler_eval_certified, places_above(Km1, 2)[0], (Km1(1, 1),)),
+        (genfact_eval, places_above(KQ, 5)[0], (2, 3, KQ(1))),
+        (genfact_eval, split, (phi, K5(1), K5(3))),
+        (genfact_eval, places_above(K5, 2)[0], (phi, K5(1), K5(2))),
+        (genfact_eval, places_above(Km1, 2)[0], (Km1(0, 1), Km1(1), Km1(1, 1))),
+    ]
+
+    def run():
+        out = []
+        for fn, v, args in cases:
+            extra = (1000,) if fn is genfact_eval else ()
+            out.append(fn(v, *args, 24, *extra))
+        return out
+
+    expected = run()
+
+    def refuse(*_):
+        raise AssertionError("CompletionElement arithmetic in the summation loop")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(CompletionElement, name, refuse)
+    assert run() == expected
