@@ -25,7 +25,7 @@ from .certify import (
     residue_condition,
     effective_bounds,
 )
-from .errors import EulerPadeError
+from .errors import EulerPadeError, PrecisionCapError
 from .numfield import QuadraticField
 from .pade import pade_construct, pade_order_check
 from .padics import euler_eval_certified
@@ -71,13 +71,20 @@ def _cmd_pade(args) -> int:
     return 0
 
 
+def _check_printable(p: int, prec: int) -> None:
+    """Refuse, before summing, a residue mod p^prec too long for str(int)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 means no limit
+    # p^prec >= 2^(prec*(bits-1)): past 16^limit > 10^limit, p^prec is not built
+    if limit and prec > 0 and (prec * (p.bit_length() - 1) >= 4 * limit or p**prec >= 10**limit):
+        raise PrecisionCapError(f"a residue mod {p}^{prec} can exceed {limit} decimal digits")
+
+
 def _cmd_eval(args) -> int:
     K = _field(args)
     alpha = K.parse(args.alpha)
-    results = [
-        euler_eval_certified(v, alpha, args.prec).to_json()
-        for v in places_above(K, args.p)
-    ]
+    places = places_above(K, args.p)
+    _check_printable(args.p, args.prec)
+    results = [euler_eval_certified(v, alpha, args.prec).to_json() for v in places]
     lines = [
         f"F(alpha) at {r['place']}@{r['p']}: residue {r['residue']} mod {args.p}^{r['N']}, "
         f"tail valuation >= {r['tail_valuation_bound']} ({r['terms_used']} terms)"

@@ -2,13 +2,14 @@
 
 A completion element is a residue modulo p^N of an element of the valuation
 ring at a place v.  Rational and split places use plain integer residues
-(split places embed sqrt(d) through its canonical p-adic root); inert and
-ramified places use coordinate pairs in the quotient of the local ring of
-integers.  At the places where the local ring is Z_p[sqrt(d)] the pair
-(u, w) means u + w*sqrt(d); the one exception is p = 2 with d = 5 mod 8,
-where sqrt(d)-coordinates of integral elements can carry denominator 2, so
-the pair is kept in the basis (1, (1+sqrt(d))/2) internally and converted
-back to sqrt(d)-coordinates (then possibly half-integral) for output.
+(the integer image of `places`); inert and ramified places use coordinate
+pairs in the quotient of the local ring of integers.  At the places where
+the local ring is Z_p[sqrt(d)] the pair (u, w) means u + w*sqrt(d); the one
+exception is p = 2 with d = 5 mod 8, where sqrt(d)-coordinates of integral
+elements can carry denominator 2, so the pair is kept in the basis
+(1, (1+sqrt(d))/2) internally and converted back to sqrt(d)-coordinates
+(then possibly half-integral) for output.  One pair law, x^2 = c + s*x,
+multiplies in every basis; int residues are pairs (a, 0).
 
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
@@ -25,7 +26,6 @@ refuses at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -38,7 +38,7 @@ from .errors import (
     PrecisionCapError,
 )
 from .numfield import FieldElement, _as_elem
-from .places import INERT, RATIONAL, SPLIT_1, SPLIT_2, Place, valuation
+from .places import INERT, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image, valuation
 
 #: hard ceiling on the requested residue precision N
 PRECISION_CAP = 4096
@@ -70,6 +70,18 @@ def _basis_for(place: Place) -> str:
     if place.p == 2 and place.d is not None and place.d % 4 == 1:
         return _OMEGA
     return _SQRT
+
+
+def _law(basis: str, d: int | None) -> tuple[int, int]:
+    """(c, s) with x^2 = c + s*x: x = sqrt(d) has (d, 0), omega = (1 + sqrt(d))/2
+    has ((d - 1)/4, 1); int residues keep b = 0, so their law never acts."""
+    return ((d - 1) // 4, 1) if basis == _OMEGA else (d or 0, 0)
+
+
+def _pair_mul(a1: int, b1: int, a2: int, b2: int, c: int, s: int, mod: int) -> tuple[int, int]:
+    """(a1 + b1*x)(a2 + b2*x) mod `mod`, where x^2 = c + s*x."""
+    bb = b1 * b2
+    return (a1 * a2 + c * bb) % mod, (a1 * b2 + b1 * a2 + s * bb) % mod
 
 
 def _frac_mod(q: Fraction, p: int, mod: int) -> int:
@@ -109,18 +121,11 @@ class CompletionElement:
         mod = p**n
         basis = _basis_for(place)
         if basis == _INT:
-            if place.splitting == RATIONAL:
-                return cls(place, n, basis, _frac_mod(value.x, p, mod))
-            c = math.lcm(value.x.denominator, value.y.denominator)
-            A = int(value.x * c)
-            B = int(value.y * c)
-            k = padic_ord_int(c, p)
-            r = place.hensel_root(n + k)
-            num = (A + B * r) % p ** (n + k)
-            if num % p**k != 0:
+            image, k, c = _integer_image(place, value, n)
+            q = p**k
+            if image % q:
                 raise ValueError(f"{value} has negative valuation at {place}")
-            image = (num // p**k) * pow(c // p**k, -1, mod) % mod
-            return cls(place, n, basis, image)
+            return cls(place, n, basis, image // q * pow(c // q, -1, mod) % mod)
         if basis == _SQRT:
             return cls(place, n, basis, _frac_mod(value.x, p, mod), _frac_mod(value.y, p, mod))
         # omega basis: x + y*sqrt(d) = (x - y) + 2y * omega
@@ -163,19 +168,9 @@ class CompletionElement:
     def __mul__(self, other) -> CompletionElement:
         other = self._lift(other)
         self._compat(other)
-        if self.basis == _INT:
-            return self._wrap(self.a * other.a, 0)
-        if self.basis == _SQRT:
-            d = self.place.d
-            return self._wrap(
-                self.a * other.a + d * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        c = (self.place.d - 1) // 4
-        return self._wrap(
-            self.a * other.a + c * self.b * other.b,
-            self.a * other.b + self.b * other.a + self.b * other.b,
-        )
+        c, s = _law(self.basis, self.place.d)
+        a, b = _pair_mul(self.a, self.b, other.a, other.b, c, s, self.modulus)
+        return CompletionElement(self.place, self.n, self.basis, a, b)
 
     __rmul__ = __mul__
 
@@ -322,16 +317,7 @@ def _sum_factorial_series(
     # t's residue with signed coordinates: a t with small coordinates keeps
     # them, so each step multiplies the term by a short int
     ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
-    # a pair (a, b) is a + b*x with x^2 = c + s*x: x = sqrt(d) has c = d,
-    # s = 0, and omega = (1 + sqrt(d))/2 has c = (d - 1)/4, s = 1; int
-    # residues keep b = 0, so c does not matter there
-    s = int(basis == _OMEGA)
-    c = (v.d - 1) // 4 if s else v.d or 0
-
-    def mul(a1, b1, a2, b2):
-        bb = b1 * b2
-        return (a1 * a2 + c * bb) % mod, (a1 * b2 + b1 * a2 + s * bb) % mod
-
+    c, s = _law(basis, v.d)
     w2_t = int(2 * valuation(v, t))
     algebraic = not isinstance(p0, int)
     if algebraic:
@@ -369,14 +355,14 @@ def _sum_factorial_series(
             )
         # the multiplier t*P(n-1) taking the term at n-1 to the one at n
         if algebraic:
-            ma, mb = mul(ta, tb, fa, fb)
+            ma, mb = _pair_mul(ta, tb, fa, fb, c, s, mod)
             fa, fb = fa + step.a, fb + step.b
         else:
             ma, mb = ta * factor, tb * factor
         if basis == _INT:
             a = a * ma % mod
         else:
-            a, b = mul(a, b, ma, mb)
+            a, b = _pair_mul(a, b, ma, mb, c, s, mod)
             sb += b
         sa += a
     raise NoConvergenceError(

@@ -5,6 +5,9 @@ uniformizer then has w_v = 1/2, so values live in (1/2)Z.  Absolute values
 are only ever materialized in log-space: ||x||_v = p^(-coefficient) with an
 exact rational coefficient w_v(x) * kappa_v / kappa, which keeps the
 non-Archimedean side of the product formula exactly checkable.
+
+At rational and split places one integer image of (A + B*sqrt(d))/c gives
+both residues and exact split valuations, the latter from a single lift.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .arith import (
     padic_ord,
     padic_ord_int,
 )
-from .errors import InvalidPrimeError, PrecisionCapError, ZeroElementError
+from .errors import InvalidPrimeError, ZeroElementError
 from .numfield import FieldElement, QuadraticField, _as_elem, arch_abs_normalized
 
 RATIONAL = "rational"
@@ -29,9 +32,6 @@ SPLIT_1 = "split_1"
 SPLIT_2 = "split_2"
 INERT = "inert"
 RAMIFIED = "ramified"
-
-#: precision cap (in p-adic digits) for deciding split-place valuations
-SPLIT_VALUATION_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -110,25 +110,25 @@ def places_above(K: QuadraticField, p: int) -> list[Place]:
     return [Place(p, INERT, d)]
 
 
-def _split_valuation(v: Place, a: FieldElement) -> Fraction:
-    """w_v at a split place via the embedding sqrt(d) -> canonical root."""
+def _integer_image(v: Place, a: FieldElement, n: int | None = None) -> tuple[int, int, int]:
+    """(image, k, c) for a = (A + B*sqrt(d))/c at a rational or split place v.
+
+    A, B, c are integers, c > 0, B = 0 over Q; k = v_p(c), and image is
+    A + B*r mod p^(n+k), r the embedding of sqrt(d) at v.  With n None (split
+    v, a != 0) the image has v_p(A^2 - d*B^2) + 1 digits: A + B*sqrt(d) is
+    integral at both places above p, so its w_v is at most that norm's v_p,
+    and v_p(image) is w_v(A + B*sqrt(d)).
+    """
     p = v.p
-    # write a = (A + B*sqrt(d)) / c with integers A, B and c > 0
-    c = math.lcm(a.x.denominator, a.y.denominator)
-    A = int(a.x * c)
-    B = int(a.y * c)
-    shift = padic_ord_int(c, p)
-    n = 8
-    while True:
-        r = v.hensel_root(n + shift)
-        image = (A + B * r) % p ** (n + shift)
-        if image != 0:
-            return Fraction(padic_ord_int(image, p) - shift)
-        if n >= SPLIT_VALUATION_CAP:
-            raise PrecisionCapError(
-                f"split valuation of {a} at {v} not settled within {SPLIT_VALUATION_CAP} digits"
-            )
-        n *= 2
+    x, y = a.x, a.y
+    c = math.lcm(x.denominator, y.denominator)
+    A = x.numerator * (c // x.denominator)
+    B = y.numerator * (c // y.denominator)
+    k = padic_ord_int(c, p)
+    digits = n + k if n is not None else padic_ord_int(A * A - v.d * B * B, p) + 1
+    if v.d is not None:
+        A += B * v.hensel_root(digits)
+    return A % p**digits, k, c
 
 
 def valuation(v: Place, a: FieldElement) -> Fraction:
@@ -139,7 +139,8 @@ def valuation(v: Place, a: FieldElement) -> Fraction:
     if v.splitting == RATIONAL:
         return Fraction(padic_ord(a.x, v.p))
     if v.splitting in (SPLIT_1, SPLIT_2):
-        return _split_valuation(v, a)
+        image, k, _ = _integer_image(v, a)
+        return Fraction(padic_ord_int(image, v.p) - k)
     # inert and ramified places: w_v(a) = v_p(norm(a)) / 2, with e = 2
     # making half-integers possible only in the ramified case
     return Fraction(padic_ord(a.norm(), v.p), 2)
@@ -183,10 +184,7 @@ def product_formula_defect(K: QuadraticField, a: FieldElement) -> float:
     total = 0.0
     for _, val in arch_abs_normalized(K, a):
         total += math.log(val)
-    for p in contributing_primes(K, a):
-        coeff = Fraction(0)
-        for v in places_above(K, p):
-            coeff += valuation(v, a) * Fraction(v.kappa_v, v.kappa)
+    for p, coeff in nonarch_log_coefficients(K, a).items():
         total -= float(coeff) * math.log(p)
     return abs(total)
 

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from eulerpade.certify import certificate_from_json, verify_certificate
-from eulerpade.cli import main
+from eulerpade.cli import build_parser, main
+from eulerpade.errors import PrecisionCapError
 
 
 def run_cli(capsys, argv):
@@ -155,3 +157,25 @@ def test_eval_inert_residue_pair(capsys):
     assert isinstance(value["residue"], list)
     # golden-ratio residues carry half-integer sqrt(5)-coordinates
     assert any("/2" in part for part in value["residue"])
+
+
+@pytest.mark.parametrize("p, prec", [(101, 2200), (1009, 4096)])
+def test_eval_refuses_unprintable_residue(capsys, p, prec):
+    # p^prec has more digits than str(int) allows: refused before summing
+    argv = ["eval", "--p", str(p), "--alpha", "1", "--prec", str(prec)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert "decimal digits" in err
+    args = build_parser().parse_args(argv)
+    with pytest.raises(PrecisionCapError):
+        args.func(args)
+
+
+def test_eval_prints_longest_residue(capsys):
+    # 101^2100 has 4209 digits, under the 4300-digit default
+    code, out, _ = run_cli(capsys, ["eval", "--p", "101", "--alpha", "1", "--prec", "2100", "--json"])
+    assert code == 0
+    (value,) = json.loads(out)["values"]
+    assert 0 < value["residue"] < 101**2100

@@ -258,6 +258,7 @@ def test_reduction_is_ring_homomorphism(K5, Km1, KQ):
         places_above(K5, 5)[0],
         places_above(Km1, 2)[0],
         places_above(QuadraticField(17), 2)[0],
+        places_above(QuadraticField(2), 2)[0],  # ramified, d = 2 mod 4
     ]
     for v in places:
         K = QuadraticField(v.d)
@@ -294,6 +295,13 @@ def test_completion_valuation_lower(K5, Km1, KQ):
                 assert exact >= 12
             else:
                 assert got == exact
+    # 11 in the denominator, integral at split_1 only
+    split_1, split_2 = places_above(K5, 11)
+    a = K5(Fraction(48, 11), Fraction(-1, 11))
+    assert valuation(split_1, a) == 1 and valuation(split_2, a) == -1
+    assert CompletionElement.from_field_element(split_1, 12, a).valuation_lower() == 1
+    with pytest.raises(ValueError):
+        CompletionElement.from_field_element(split_2, 12, a)
 
 
 def _vp(q, p):

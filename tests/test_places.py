@@ -168,10 +168,28 @@ def test_split_valuation_negative(K5):
     assert valuation(v2, elem) == -1
 
 
-def test_split_valuation_precision_cap():
-    from eulerpade.errors import PrecisionCapError
-
+def test_split_valuation_beyond_old_cap():
+    # split valuations are exact at any size; 256 digits used to be a cap
     K17 = QuadraticField(17)
-    v1, _ = places_above(K17, 2)
-    with pytest.raises(PrecisionCapError):
-        valuation(v1, K17(2**300))  # valuation 300 exceeds the 256-digit cap
+    v1, v2 = places_above(K17, 2)
+    assert valuation(v1, K17(2**300)) == 300
+    assert valuation(v2, K17(2**300)) == 300
+    # (3 + sqrt(17))/2 has norm -2, so it is a uniformizer at one place
+    # above 2 and a unit at the other
+    pi = K17(Fraction(3, 2), Fraction(1, 2))
+    assert sorted([valuation(v1, pi**400), valuation(v2, pi**400)]) == [0, 400]
+
+
+def test_split_valuations_sum_to_norm_valuation():
+    # w_v1(a) + w_v2(a) = v_p(N(a)), read off the norm alone
+    rng = random.Random(44)
+    for d in (5, 17, -7, 13, -15, 41):
+        K = QuadraticField(d)
+        for p in primes_upto(60):
+            places = places_above(K, p)
+            if places[0].splitting != "split_1":
+                continue
+            for _ in range(20):
+                a = random_integral_element(rng, K, -80, 80)
+                a = a ** rng.randint(1, 40) * Fraction(p ** rng.randint(0, 5), rng.randint(1, 30))
+                assert sum(valuation(v, a) for v in places) == padic_ord(a.norm(), p)
