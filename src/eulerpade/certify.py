@@ -38,7 +38,7 @@ from .numfield import (
     arch_abs_normalized,
 )
 from .padics import CompletionElement, euler_eval_certified
-from .places import Place, factorial_valuation, places_above, valuation
+from .places import Place, factorial_valuation, normalized_abs_log, places_above, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,10 @@ def constants_c1_c2(
     """The Archimedean constant c1 of the points and c2 = c1 * prod_{v in V}
     max_j ||alpha_j||_v.
 
-    Only places over primes dividing some norm(alpha_j) can push the
-    non-Archimedean product below 1, so the product is finite.
+    max_j ||alpha_j||_v < 1 needs w_v(alpha_j) > 0 for every j, so only
+    places over primes dividing every norm(alpha_j) can push the
+    non-Archimedean product below 1, and only the gcd of the norms is
+    factored.
     """
     alphas = _validated_alphas(K, alpha_vec)
     m = len(alphas)
@@ -121,17 +123,11 @@ def constants_c1_c2(
         for val in row:
             c1 *= val + big
     c2 = c1
-    contributing: set[int] = set()
-    for a in alphas:
-        contributing |= set(factorize(int(a.norm())))
-    for p in sorted(contributing):
+    for p in sorted(factorize(math.gcd(*(int(a.norm()) for a in alphas)))):
         for v in places_above(K, p):
             if V.excludes_place(v):
                 continue
-            best = max(
-                p ** -float(valuation(v, a) * Fraction(v.kappa_v, v.kappa)) for a in alphas
-            )
-            c2 *= best
+            c2 *= max(p ** -float(normalized_abs_log(v, a).coefficient) for a in alphas)
     return c1, c2
 
 
@@ -333,15 +329,6 @@ def residue_condition(n: int, r: int, m: int) -> tuple[bool, float]:
 # linear recurrences
 
 
-def _denominator_of(a: FieldElement) -> int:
-    """The least positive integer n with n*a an algebraic integer."""
-    cap = 2 * math.lcm(a.x.denominator, a.y.denominator)
-    for n in sorted(k for k in range(1, cap + 1) if cap % k == 0):
-        if (a * n).is_algebraic_integer():
-            return n
-    raise RuntimeError("unreachable: 2*lcm of coordinate denominators always works")
-
-
 def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...], int]:
     """Reduce x_n = c_1 x_{n-1} + ... + c_k x_{n-k} (k <= 2, distinct roots)
     to sum_i b_i F(alpha_i) = d * sum_n n! x_n.
@@ -384,7 +371,7 @@ def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tu
     x1 = FieldElement(Fraction(init[1]), Fraction(0), d_field)
     a1 = (x1 - x0 * r2) / (r1 - r2)
     a2 = x0 - a1
-    d = math.lcm(_denominator_of(a1), _denominator_of(a2))
+    d = math.lcm(a1.denominator(), a2.denominator())
     return (r1, r2), (a1 * d, a2 * d), d
 
 

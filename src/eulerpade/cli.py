@@ -171,11 +171,10 @@ def _cmd_residue(args) -> int:
     return 0
 
 
-def _add_common(p, field=True, jsonf=True):
+def _add_common(p, field=True):
     if field:
         p.add_argument("--field", type=int, default=None, help="squarefree d of Q(sqrt(d)); omit for Q")
-    if jsonf:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
 def _add_certificate(p, linear_form):

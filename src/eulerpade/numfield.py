@@ -3,6 +3,10 @@
 An element is a pair (x, y) of rationals meaning x + y*sqrt(d); the
 rational field is the degenerate case d = None with y = 0.  Values are
 immutable, arithmetic is exact, and equality is coordinatewise.
+
+Every layer that asks what an element is over Z reads its one integral
+form (A + B*sqrt(d))/c; integrality and the least denominator n with
+n*a integral are closed forms in (A, B, c) and d.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from fractions import Fraction
 
 from .arith import is_squarefree
 from .errors import FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -33,12 +35,6 @@ class QuadraticField:
 
     def __call__(self, x, y=0) -> FieldElement:
         return FieldElement(Fraction(x), Fraction(y), self.d)
-
-    def zero(self) -> FieldElement:
-        return self(0)
-
-    def one(self) -> FieldElement:
-        return self(1)
 
     def sqrt_gen(self) -> FieldElement:
         """The generator sqrt(d) itself (only for quadratic fields)."""
@@ -72,10 +68,6 @@ class FieldElement:
     def __post_init__(self) -> None:
         if self.d is None and self.y != 0:
             raise ValueError("rational field elements must have y = 0")
-
-    @property
-    def field(self) -> QuadraticField:
-        return QuadraticField(self.d)
 
     def _pair(self, other) -> tuple[FieldElement, FieldElement] | None:
         """Promote self and other into a common field, or None if impossible."""
@@ -188,10 +180,29 @@ class FieldElement:
             return self.x
         return 2 * self.x
 
+    def integral_form(self) -> tuple[int, int, int]:
+        """(A, B, c) with self = (A + B*sqrt(d))/c, c > 0, gcd(A, B, c) = 1.
+
+        c is the lcm of the coordinate denominators; B = 0 over Q.
+        """
+        x, y = self.x, self.y
+        c = math.lcm(x.denominator, y.denominator)
+        return x.numerator * (c // x.denominator), y.numerator * (c // y.denominator), c
+
+    def denominator(self) -> int:
+        """The least n >= 1 with n*self an algebraic integer.
+
+        The ring of integers is Z[(1 + sqrt(d))/2] when d = 1 mod 4 and
+        Z[sqrt(d)] otherwise, so n is c, halved when d = 1 mod 4 and c is
+        even with A and B both odd.
+        """
+        A, B, c = self.integral_form()
+        if c % 2 == 0 and self.d is not None and self.d % 4 == 1 and A % 2 and B % 2:
+            return c // 2
+        return c
+
     def is_algebraic_integer(self) -> bool:
-        if self.d is None:
-            return self.x.denominator == 1
-        return self.trace().denominator == 1 and self.norm().denominator == 1
+        return self.denominator() == 1
 
     def __str__(self) -> str:
         if self.d is None or self.y == 0:

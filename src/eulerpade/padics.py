@@ -1,15 +1,17 @@
 """Finite-precision arithmetic in completions and certified series evaluation.
 
 A completion element is a residue modulo p^N of an element of the valuation
-ring at a place v.  Rational and split places use plain integer residues
-(the integer image of `places`); inert and ramified places use coordinate
-pairs in the quotient of the local ring of integers.  At the places where
-the local ring is Z_p[sqrt(d)] the pair (u, w) means u + w*sqrt(d); the one
-exception is p = 2 with d = 5 mod 8, where sqrt(d)-coordinates of integral
-elements can carry denominator 2, so the pair is kept in the basis
-(1, (1+sqrt(d))/2) internally and converted back to sqrt(d)-coordinates
-(then possibly half-integral) for output.  One pair law, x^2 = c + s*x,
-multiplies in every basis; int residues are pairs (a, 0).
+ring at a place v, and the place alone fixes its basis.  Rational and split
+places use plain integer residues (the integer image of `places`); inert
+and ramified places use coordinate pairs in the quotient of the local ring
+of integers.  At the places where the local ring is Z_p[sqrt(d)] the pair
+(u, w) means u + w*sqrt(d); the one exception is p = 2 with d = 5 mod 8,
+where sqrt(d)-coordinates of integral elements can carry denominator 2, so
+the pair is kept in the basis (1, (1+sqrt(d))/2) internally and converted
+back to sqrt(d)-coordinates (then possibly half-integral) for output.  Every
+residue is read off the element's integral form (A + B*sqrt(d))/c.  One
+pair law, x^2 = c + s*x, multiplies in every basis; int residues are pairs
+(a, 0).
 
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
@@ -26,6 +28,7 @@ refuses at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -84,34 +87,27 @@ def _pair_mul(a1: int, b1: int, a2: int, b2: int, c: int, s: int, mod: int) -> t
     return (a1 * a2 + c * bb) % mod, (a1 * b2 + b1 * a2 + s * bb) % mod
 
 
-def _frac_mod(q: Fraction, p: int, mod: int) -> int:
-    """q reduced mod p^N; requires p not to divide the denominator."""
-    if q.denominator % p == 0:
-        raise ValueError(f"{q} is not p-integral at p = {p}")
-    return q.numerator * pow(q.denominator, -1, mod) % mod
-
-
 @dataclass(frozen=True)
 class CompletionElement:
-    """A residue mod p^N in the valuation ring at a place."""
+    """A residue mod p^N in the valuation ring at a place; the place fixes
+    the basis of the pair (a, b)."""
 
     place: Place
     n: int
-    basis: str
     a: int
     b: int = 0
+
+    @property
+    def basis(self) -> str:
+        return _basis_for(self.place)
 
     @property
     def modulus(self) -> int:
         return self.place.p**self.n
 
     @classmethod
-    def zero(cls, place: Place, n: int) -> CompletionElement:
-        return cls(place, n, _basis_for(place), 0, 0)
-
-    @classmethod
     def one(cls, place: Place, n: int) -> CompletionElement:
-        return cls(place, n, _basis_for(place), 1 % place.p**n, 0)
+        return cls(place, n, 1 % place.p**n)
 
     @classmethod
     def from_field_element(cls, place: Place, n: int, value) -> CompletionElement:
@@ -125,15 +121,17 @@ class CompletionElement:
             q = p**k
             if image % q:
                 raise ValueError(f"{value} has negative valuation at {place}")
-            return cls(place, n, basis, image // q * pow(c // q, -1, mod) % mod)
-        if basis == _SQRT:
-            return cls(place, n, basis, _frac_mod(value.x, p, mod), _frac_mod(value.y, p, mod))
-        # omega basis: x + y*sqrt(d) = (x - y) + 2y * omega
-        return cls(
-            place, n, basis,
-            _frac_mod(value.x - value.y, p, mod),
-            _frac_mod(2 * value.y, p, mod),
-        )
+            return cls(place, n, image // q * pow(c // q, -1, mod) % mod)
+        A, B, c = value.integral_form()
+        if basis == _OMEGA:
+            # (A + B*sqrt(d))/c = ((A - B) + 2B * omega)/c
+            A, B = A - B, 2 * B
+            g = math.gcd(A, B, c)
+            A, B, c = A // g, B // g, c // g
+        if c % p == 0:
+            raise ValueError(f"{value} is not integral at {place}")
+        inv = pow(c, -1, mod)
+        return cls(place, n, A * inv % mod, B * inv % mod)
 
     def _compat(self, other: CompletionElement) -> None:
         if self.place != other.place or self.n != other.n:
@@ -141,7 +139,7 @@ class CompletionElement:
 
     def _wrap(self, a: int, b: int) -> CompletionElement:
         mod = self.modulus
-        return CompletionElement(self.place, self.n, self.basis, a % mod, b % mod)
+        return CompletionElement(self.place, self.n, a % mod, b % mod)
 
     def __add__(self, other) -> CompletionElement:
         other = self._lift(other)
@@ -160,7 +158,7 @@ class CompletionElement:
         if isinstance(other, CompletionElement):
             return other
         if isinstance(other, int):
-            return CompletionElement(self.place, self.n, self.basis, other % self.modulus)
+            return CompletionElement(self.place, self.n, other % self.modulus)
         if isinstance(other, (Fraction, FieldElement)):
             return CompletionElement.from_field_element(self.place, self.n, other)
         raise TypeError(f"cannot combine CompletionElement with {type(other)!r}")
@@ -170,7 +168,7 @@ class CompletionElement:
         self._compat(other)
         c, s = _law(self.basis, self.place.d)
         a, b = _pair_mul(self.a, self.b, other.a, other.b, c, s, self.modulus)
-        return CompletionElement(self.place, self.n, self.basis, a, b)
+        return CompletionElement(self.place, self.n, a, b)
 
     __rmul__ = __mul__
 
@@ -182,7 +180,7 @@ class CompletionElement:
         if m > self.n:
             raise ValueError("cannot raise precision of a residue")
         mod = self.place.p**m
-        return CompletionElement(self.place, m, self.basis, self.a % mod, self.b % mod)
+        return CompletionElement(self.place, m, self.a % mod, self.b % mod)
 
     def valuation_lower(self) -> Fraction | None:
         """The exact w_v of any element with this residue, when the residue
@@ -331,7 +329,7 @@ def _sum_factorial_series(
     w2_prod = 0
 
     def certified(w2, n):
-        value = CompletionElement(v, n_target, basis, sa % mod, sb % mod)
+        value = CompletionElement(v, n_target, sa % mod, sb % mod)
         return CertifiedValue(value, Fraction(w2, 2), n)
 
     for n in count(1) if n_max is None else range(1, n_max + 1):

@@ -6,8 +6,9 @@ are only ever materialized in log-space: ||x||_v = p^(-coefficient) with an
 exact rational coefficient w_v(x) * kappa_v / kappa, which keeps the
 non-Archimedean side of the product formula exactly checkable.
 
-At rational and split places one integer image of (A + B*sqrt(d))/c gives
-both residues and exact split valuations, the latter from a single lift.
+At rational and split places one integer image of the integral form
+(A + B*sqrt(d))/c gives both residues and exact valuations, split ones from
+a single lift.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class LogAbs:
 
     coefficient: Fraction
 
-    def ln(self, p: int) -> float:
-        return -float(self.coefficient) * math.log(p)
-
 
 def places_above(K: QuadraticField, p: int) -> list[Place]:
     """All places of K above the prime p, in canonical order.
@@ -113,19 +111,16 @@ def places_above(K: QuadraticField, p: int) -> list[Place]:
 def _integer_image(v: Place, a: FieldElement, n: int | None = None) -> tuple[int, int, int]:
     """(image, k, c) for a = (A + B*sqrt(d))/c at a rational or split place v.
 
-    A, B, c are integers, c > 0, B = 0 over Q; k = v_p(c), and image is
-    A + B*r mod p^(n+k), r the embedding of sqrt(d) at v.  With n None (split
-    v, a != 0) the image has v_p(A^2 - d*B^2) + 1 digits: A + B*sqrt(d) is
-    integral at both places above p, so its w_v is at most that norm's v_p,
+    (A, B, c) is a's integral form, B = 0 over Q; k = v_p(c), and image is
+    A + B*r mod p^(n+k), r the embedding of sqrt(d) at v.  With n None
+    (a != 0) the image has v_p(A^2 - d*B^2) + 1 digits: A + B*sqrt(d) is
+    integral at every place above p, so its w_v is at most that norm's v_p,
     and v_p(image) is w_v(A + B*sqrt(d)).
     """
     p = v.p
-    x, y = a.x, a.y
-    c = math.lcm(x.denominator, y.denominator)
-    A = x.numerator * (c // x.denominator)
-    B = y.numerator * (c // y.denominator)
+    A, B, c = a.integral_form()
     k = padic_ord_int(c, p)
-    digits = n + k if n is not None else padic_ord_int(A * A - v.d * B * B, p) + 1
+    digits = n + k if n is not None else padic_ord_int(A * A - (v.d or 0) * B * B, p) + 1
     if v.d is not None:
         A += B * v.hensel_root(digits)
     return A % p**digits, k, c
@@ -136,9 +131,7 @@ def valuation(v: Place, a: FieldElement) -> Fraction:
     a = _as_elem(a, v.d)
     if not a:
         raise ZeroElementError("w_v(0) is undefined")
-    if v.splitting == RATIONAL:
-        return Fraction(padic_ord(a.x, v.p))
-    if v.splitting in (SPLIT_1, SPLIT_2):
+    if v.splitting in (RATIONAL, SPLIT_1, SPLIT_2):
         image, k, _ = _integer_image(v, a)
         return Fraction(padic_ord_int(image, v.p) - k)
     # inert and ramified places: w_v(a) = v_p(norm(a)) / 2, with e = 2
@@ -194,7 +187,7 @@ def nonarch_log_coefficients(K: QuadraticField, a: FieldElement) -> dict[int, Fr
     out: dict[int, Fraction] = {}
     for p in contributing_primes(K, a):
         out[p] = sum(
-            (valuation(v, a) * Fraction(v.kappa_v, v.kappa) for v in places_above(K, p)),
+            (normalized_abs_log(v, a).coefficient for v in places_above(K, p)),
             Fraction(0),
         )
     return out

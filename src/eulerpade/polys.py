@@ -75,16 +75,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def truncate(self, n: int) -> Poly:
-        """Drop all terms of exponent >= n."""
-        return Poly(self.coeffs[:n], self.d)
-
-    def first_nonzero_exponent(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
     def __call__(self, point) -> FieldElement:
         point = _as_elem(point, self.d)
         acc = _as_elem(0, self.d)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerpade.arith import primes_upto
+from eulerpade.arith import factorize, primes_upto
 from eulerpade.errors import (
     AllLambdaZeroError,
     HeightTooSmallError,
@@ -16,7 +16,7 @@ from eulerpade.errors import (
 from eulerpade.numfield import QuadraticField
 from eulerpade.pade import pade_construct, remainder_at_unity, select_mu
 from eulerpade.padics import CompletionElement
-from eulerpade.places import factorial_valuation, places_above
+from eulerpade.places import factorial_valuation, places_above, valuation
 from eulerpade.certify import (
     ValuationSetDescriptor,
     certificate_from_json,
@@ -35,6 +35,8 @@ from eulerpade.certify import (
     verify_certificate,
     z_inverse,
 )
+
+from conftest import random_integral_element
 
 
 V_ALL = ValuationSetDescriptor.all_places()
@@ -61,6 +63,39 @@ def test_c2_nonarch_contribution(KQ):
     excl = ValuationSetDescriptor.cofinite(places_above(KQ, 2))
     _, c2_excl = constants_c1_c2(KQ, [2], excl)
     assert c2_excl == pytest.approx(c1, rel=1e-12)
+
+
+def _c2_over_union_of_norms(K, alphas, V):
+    """c2 with the non-Archimedean product taken over every prime that
+    divides some norm(alpha_j)."""
+    c1, _ = constants_c1_c2(K, alphas, V)
+    primes = set()
+    for a in alphas:
+        primes |= set(factorize(int(a.norm())))
+    c2 = c1
+    for p in sorted(primes):
+        for v in places_above(K, p):
+            if not V.excludes_place(v):
+                c2 *= max(p ** -float(valuation(v, a) * Fraction(v.kappa_v, v.kappa)) for a in alphas)
+    return c1, c2
+
+
+def test_c2_matches_union_of_norms_reference():
+    # factoring only the gcd of the norms drops factors of exactly 1.0
+    rng = random.Random(43)
+    for d in (None, 5, -1, 2, -3, 13):
+        K = QuadraticField(d)
+        descriptors = [
+            V_ALL,
+            ValuationSetDescriptor.cofinite(places_above(K, 2) + places_above(K, 3)[:1]),
+            ValuationSetDescriptor.residue_classes(5, [1, 2]),
+        ]
+        for _ in range(40):
+            alphas = {random_integral_element(rng, K, -12, 12) for _ in range(rng.randint(1, 3))}
+            alphas = sorted(alphas, key=str)
+            for V in descriptors:
+                got = constants_c1_c2(K, alphas, V)
+                assert repr(got) == repr(_c2_over_union_of_norms(K, alphas, V))
 
 
 def test_limsup_sequence_closed_form(KQ):

@@ -101,6 +101,15 @@ def test_limsup_subcommand(capsys):
     assert "evidence" in payload["note"]
 
 
+def test_limsup_large_prime_norm_is_fast(capsys):
+    # m = 2: only the gcd of the norms (here 1) is factored, not the prime 10^15 + 37
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["limsup", "--alphas", "1000000000000037;3", "--lmax", "3", "--json"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert len(json.loads(out)["log_values"]) == 3
+
+
 def test_pade_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, ["pade", "--m", "1", "--l", "1", "--mu", "0", "--alphas", "1", "--json"]

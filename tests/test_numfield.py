@@ -110,6 +110,36 @@ def test_integral_closure_under_add_and_mul(K5, Km1):
             assert (a * b).is_algebraic_integer()
 
 
+def _denominator_by_search(a):
+    """The old reference: the least divisor n of 2*lcm(coordinate
+    denominators) with n*a integral, integrality read off trace and norm."""
+    def integral(z):
+        if z.d is None:
+            return z.x.denominator == 1
+        return (2 * z.x).denominator == 1 and (z.x * z.x - z.d * z.y * z.y).denominator == 1
+
+    cap = 2 * math.lcm(a.x.denominator, a.y.denominator)
+    return next(n for n in range(1, cap + 1) if cap % n == 0 and integral(a * n))
+
+
+def test_denominator_and_integrality_match_divisor_search():
+    # d = 1, 2, 3 mod 4 of both signs, plus Q
+    fields = [QuadraticField(d) for d in (None, 5, 13, -3, -7, -15, 2, 6, -2, -6, 3, 7, -1, -5)]
+    rng = random.Random(105)
+    dens = (1, 2, 3, 4, 5, 6, 8, 12)
+    for K in fields:
+        for _ in range(300):
+            x = Fraction(rng.randint(-40, 40), rng.choice(dens))
+            y = Fraction(rng.randint(-40, 40), rng.choice(dens)) if K.d is not None else 0
+            a = K(x, y)
+            A, B, c = a.integral_form()
+            assert c > 0 and math.gcd(A, B, c) == 1
+            assert a == K(Fraction(A, c), Fraction(B, c))
+            n = _denominator_by_search(a)
+            assert a.denominator() == n
+            assert a.is_algebraic_integer() == (n == 1)
+
+
 def test_arch_product_squared_is_norm(K5):
     rng = random.Random(104)
     K2 = QuadraticField(2)

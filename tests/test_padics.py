@@ -304,6 +304,23 @@ def test_completion_valuation_lower(K5, Km1, KQ):
         CompletionElement.from_field_element(split_2, 12, a)
 
 
+@pytest.mark.parametrize(
+    "d, p, x, y",
+    [
+        (5, 2, Fraction(1, 4), Fraction(1, 4)),  # omega basis at inert@2
+        (3, 2, 0, Fraction(1, 2)),  # sqrt basis at ramified@2
+        (-1, 2, Fraction(1, 2), Fraction(1, 2)),  # sqrt basis, half-integral coordinates
+        (5, 3, Fraction(1, 3), 0),  # sqrt basis at inert@3
+        (None, 2, Fraction(1, 2), 0),  # int residue at a rational place
+    ],
+)
+def test_from_field_element_refuses_non_integral(d, p, x, y):
+    K = QuadraticField(d)
+    (v,) = places_above(K, p)
+    with pytest.raises(ValueError):
+        CompletionElement.from_field_element(v, 8, K(x, y))
+
+
 def _vp(q, p):
     """v_p of a nonzero rational, by repeated division."""
     q = Fraction(q)
