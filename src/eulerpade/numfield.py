@@ -1,12 +1,15 @@
 """Exact arithmetic in Q and in quadratic fields Q(sqrt(d)).
 
-An element is a pair (x, y) of rationals meaning x + y*sqrt(d); the
-rational field is the degenerate case d = None with y = 0.  Values are
-immutable, arithmetic is exact, and equality is coordinatewise.
+An element x + y*sqrt(d) is stored as its integral form: ints (A, B, c)
+with x + y*sqrt(d) = (A + B*sqrt(d))/c, c > 0 and gcd(A, B, c) = 1; the
+rational field is the degenerate case d = None with B = 0.  Values are
+immutable, arithmetic is exact int arithmetic with one gcd per operation,
+and equality compares the triples.  The coordinates x and y are read as
+Fractions.
 
-Every layer that asks what an element is over Z reads its one integral
-form (A + B*sqrt(d))/c; integrality and the least denominator n with
-n*a integral are closed forms in (A, B, c) and d.
+Every layer that asks what an element is over Z reads this one integral
+form; integrality and the least denominator n with n*a integral are
+closed forms in (A, B, c) and d.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class QuadraticField:
         return 1 if self.d is None else 2
 
     def __call__(self, x, y=0) -> FieldElement:
-        return FieldElement(Fraction(x), Fraction(y), self.d)
+        return FieldElement(x, y, self.d)
 
     def sqrt_gen(self) -> FieldElement:
         """The generator sqrt(d) itself (only for quadratic fields)."""
@@ -57,98 +60,124 @@ class QuadraticField:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
 
 
-@dataclass(frozen=True, eq=False)
 class FieldElement:
-    """x + y*sqrt(d) with exact rational coordinates."""
+    """x + y*sqrt(d), stored as the integral form (A + B*sqrt(d))/c."""
 
-    x: Fraction
-    y: Fraction
-    d: int | None
+    __slots__ = ("_A", "_B", "_c", "d")
 
-    def __post_init__(self) -> None:
-        if self.d is None and self.y != 0:
+    def __init__(self, x, y, d: int | None) -> None:
+        x, y = Fraction(x), Fraction(y)
+        if d is None and y != 0:
             raise ValueError("rational field elements must have y = 0")
+        # with c the lcm of the coordinate denominators, gcd(A, B, c) = 1
+        c = math.lcm(x.denominator, y.denominator)
+        _set_A(self, x.numerator * (c // x.denominator))
+        _set_B(self, y.numerator * (c // y.denominator))
+        _set_c(self, c)
+        _set_d(self, d)
 
-    def _pair(self, other) -> tuple[FieldElement, FieldElement] | None:
-        """Promote self and other into a common field, or None if impossible."""
-        if isinstance(other, (int, Fraction)):
-            other = FieldElement(Fraction(other), Fraction(0), None)
-        if not isinstance(other, FieldElement):
-            return None
-        if self.d == other.d:
-            return self, other
-        if self.d is None:
-            return FieldElement(self.x, Fraction(0), other.d), other
-        if other.d is None:
-            return self, FieldElement(other.x, Fraction(0), self.d)
-        raise FieldMismatchError(
-            f"cannot mix Q(sqrt({self.d})) and Q(sqrt({other.d})) elements"
-        )
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return _make, (self._A, self._B, self._c, self.d)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._A, self._c)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._B, self._c)
+
+    def _common(self, other):
+        """(d, A, B, c): the common field of self and other, and other's
+        integral form; None when other is not a number."""
+        if isinstance(other, FieldElement):
+            d = self.d
+            if other.d != d:
+                if d is None:
+                    d = other.d
+                elif other.d is not None:
+                    raise FieldMismatchError(
+                        f"cannot mix Q(sqrt({self.d})) and Q(sqrt({other.d})) elements"
+                    )
+            return d, other._A, other._B, other._c
+        if isinstance(other, int):
+            return self.d, other, 0, 1
+        if isinstance(other, Fraction):
+            return self.d, other.numerator, 0, other.denominator
+        return None
 
     def __bool__(self) -> bool:
-        return self.x != 0 or self.y != 0
+        return self._A != 0 or self._B != 0
 
     def __eq__(self, other) -> bool:
-        pair = self._pair(other)
-        if pair is None:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = pair
-        return a.x == b.x and a.y == b.y
+        return (self._A, self._B, self._c) == common[1:]
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y, None if self.y == 0 else self.d))
+        return hash((self.x, self.y, None if self._B == 0 else self.d))
 
     def __add__(self, other) -> FieldElement:
-        pair = self._pair(other)
-        if pair is None:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = pair
-        return FieldElement(a.x + b.x, a.y + b.y, a.d)
+        d, A, B, c = common
+        if c == self._c:
+            return _reduced(self._A + A, self._B + B, c, d)
+        return _reduced(self._A * c + A * self._c, self._B * c + B * self._c, self._c * c, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(-self.x, -self.y, self.d)
+        return _make(-self._A, -self._B, self._c, self.d)
 
     def __sub__(self, other) -> FieldElement:
-        pair = self._pair(other)
-        if pair is None:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = pair
-        return FieldElement(a.x - b.x, a.y - b.y, a.d)
+        d, A, B, c = common
+        if c == self._c:
+            return _reduced(self._A - A, self._B - B, c, d)
+        return _reduced(self._A * c - A * self._c, self._B * c - B * self._c, self._c * c, d)
 
     def __rsub__(self, other) -> FieldElement:
         return (-self) + other
 
     def __mul__(self, other) -> FieldElement:
-        pair = self._pair(other)
-        if pair is None:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = pair
-        if a.d is None:
-            return FieldElement(a.x * b.x, Fraction(0), None)
-        return FieldElement(
-            a.x * b.x + a.d * a.y * b.y,
-            a.x * b.y + a.y * b.x,
-            a.d,
-        )
+        d, A, B, c = common
+        A1, B1 = self._A, self._B
+        if B1 and B:
+            return _reduced(A1 * A + d * B1 * B, A1 * B + B1 * A, self._c * c, d)
+        return _reduced(A1 * A, A1 * B + B1 * A, self._c * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
+        """c(A - B*sqrt(d))/(A^2 - d*B^2)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.d is None:
-            return FieldElement(1 / self.x, Fraction(0), None)
-        n = self.norm()
-        return FieldElement(self.x / n, -self.y / n, self.d)
+        A, B, c = self._A, self._B, self._c
+        n = A * A - self.d * B * B if B else A * A
+        if n < 0:
+            c, n = -c, -n
+        return _reduced(c * A, -c * B, n, self.d)
 
     def __truediv__(self, other) -> FieldElement:
-        pair = self._pair(other)
-        if pair is None:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        d, A, B, c = common
+        return self * _make(A, B, c, d).inverse()
 
     def __rtruediv__(self, other) -> FieldElement:
         return self.inverse() * other
@@ -156,7 +185,7 @@ class FieldElement:
     def __pow__(self, n: int) -> FieldElement:
         if n < 0:
             return self.inverse() ** (-n)
-        out = FieldElement(Fraction(1), Fraction(0), self.d)
+        out = _make(1, 0, 1, self.d)
         base = self
         while n > 0:
             if n & 1:
@@ -166,28 +195,23 @@ class FieldElement:
         return out
 
     def conjugate(self) -> FieldElement:
-        return FieldElement(self.x, -self.y, self.d)
+        return _make(self._A, -self._B, self._c, self.d)
 
     def norm(self) -> Fraction:
         """x^2 - d*y^2; over Q the element itself."""
         if self.d is None:
             return self.x
-        return self.x * self.x - self.d * self.y * self.y
+        return Fraction(self._A * self._A - self.d * self._B * self._B, self._c * self._c)
 
     def trace(self) -> Fraction:
         """2x; over Q the element itself."""
         if self.d is None:
             return self.x
-        return 2 * self.x
+        return Fraction(2 * self._A, self._c)
 
     def integral_form(self) -> tuple[int, int, int]:
-        """(A, B, c) with self = (A + B*sqrt(d))/c, c > 0, gcd(A, B, c) = 1.
-
-        c is the lcm of the coordinate denominators; B = 0 over Q.
-        """
-        x, y = self.x, self.y
-        c = math.lcm(x.denominator, y.denominator)
-        return x.numerator * (c // x.denominator), y.numerator * (c // y.denominator), c
+        """(A, B, c) with self = (A + B*sqrt(d))/c, c > 0, gcd(A, B, c) = 1; B = 0 over Q."""
+        return self._A, self._B, self._c
 
     def denominator(self) -> int:
         """The least n >= 1 with n*self an algebraic integer.
@@ -196,7 +220,7 @@ class FieldElement:
         Z[sqrt(d)] otherwise, so n is c, halved when d = 1 mod 4 and c is
         even with A and B both odd.
         """
-        A, B, c = self.integral_form()
+        A, B, c = self._A, self._B, self._c
         if c % 2 == 0 and self.d is not None and self.d % 4 == 1 and A % 2 and B % 2:
             return c // 2
         return c
@@ -205,12 +229,36 @@ class FieldElement:
         return self.denominator() == 1
 
     def __str__(self) -> str:
-        if self.d is None or self.y == 0:
+        if self.d is None or self._B == 0:
             return str(self.x)
         return f"{self.x},{self.y}"
 
     def __repr__(self) -> str:
         return f"FieldElement({self.x}, {self.y}, d={self.d})"
+
+
+_new = object.__new__
+_set_A, _set_B, _set_c, _set_d = (
+    FieldElement._A.__set__, FieldElement._B.__set__, FieldElement._c.__set__, FieldElement.d.__set__
+)
+
+
+def _make(A: int, B: int, c: int, d) -> FieldElement:
+    """(A + B*sqrt(d))/c from a triple already in lowest terms with c > 0."""
+    elem = _new(FieldElement)
+    _set_A(elem, A)
+    _set_B(elem, B)
+    _set_c(elem, c)
+    _set_d(elem, d)
+    return elem
+
+
+def _reduced(A: int, B: int, c: int, d) -> FieldElement:
+    """(A + B*sqrt(d))/c for any c > 0."""
+    g = math.gcd(A, B, c)
+    if g != 1:
+        return _make(A // g, B // g, c // g, d)
+    return _make(A, B, c, d)
 
 
 def _as_elem(value, d) -> FieldElement:
@@ -219,10 +267,13 @@ def _as_elem(value, d) -> FieldElement:
     if isinstance(value, FieldElement):
         if value.d == d:
             return value
-        if value.y == 0:
-            return FieldElement(value.x, Fraction(0), d)
+        if value._B == 0:
+            return _make(value._A, 0, value._c, d)
         raise ValueError("element belongs to a different field")
-    return FieldElement(Fraction(value), Fraction(0), d)
+    if type(value) is int:
+        return _make(value, 0, 1, d)
+    value = Fraction(value)
+    return _make(value.numerator, 0, value.denominator, d)
 
 
 def _validated_points(points, d) -> tuple[FieldElement, ...]:
@@ -230,7 +281,7 @@ def _validated_points(points, d) -> tuple[FieldElement, ...]:
     points = tuple(_as_elem(a, d) for a in points)
     if any(not a for a in points):
         raise ZeroAlphaError("evaluation points must be nonzero")
-    if len({(a.x, a.y) for a in points}) != len(points):
+    if len({a.integral_form() for a in points}) != len(points):
         raise RepeatedAlphaError("evaluation points must be pairwise distinct")
     return points
 

@@ -289,16 +289,50 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> GenericPadeSystem:
     )
 
 
+def _exact_quotient(num: Poly, den: Poly) -> Poly:
+    """num / den by long division, for den dividing num exactly.
+
+    Quotient coefficient i reads the remainder at i + deg(den) only, so the
+    remainder below deg(den) is never updated.
+    """
+    rem = list(num.coeffs)
+    top = den.degree
+    lead = den.coeffs[-1].inverse()
+    quotient = [None] * (num.degree - top + 1)
+    for i in range(len(quotient) - 1, -1, -1):
+        q = quotient[i] = rem[i + top] * lead
+        for k in range(max(top - i, 0), top):
+            rem[i + k] = rem[i + k] - q * den.coeffs[k]
+    return Poly(quotient, num.d)
+
+
 def _poly_det(matrix: list[list[Poly]], d) -> Poly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = Poly.zero(d)
-    for col in range(n):
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = matrix[0][col] * _poly_det(minor, d)
-        acc = acc + term if col % 2 == 0 else acc - term
-    return acc
+    """The determinant over K[t] by fraction-free Bareiss elimination.
+
+    Step k replaces each entry below and right of the pivot by the 2x2
+    minor with the pivot, divided exactly by the previous pivot (Bareiss,
+    Math. Comp. 22, 1968), so entries stay minors of the input and the
+    last one is the determinant.  A zero pivot swaps in a later row.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    sign = 1
+    previous = Poly([1], d)
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return Poly.zero(d)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = _exact_quotient(
+                    rows[i][j] * pivot - rows[i][k] * rows[k][j], previous
+                )
+        previous = pivot
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
 def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
@@ -310,11 +344,12 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
         b = (-1)^(ml) prod_{mu<m} (ml+mu)! prod_j alpha_j^l
             * prod_j (sum_i sigma_i i^l alpha_j^i) * prod_{i<j} (alpha_j - alpha_i)
 
-    and the flag reports exact agreement with the directly expanded
-    polynomial determinant.  (Expanding along the first column, the lowest
-    order is attained at the row mu = m, whose cofactor sign (-1)^m cancels
-    the (-1)^m coming from negating the m remainder columns; the remaining
-    sign is sigma_ml = (-1)^(ml).)
+    and the flag reports exact agreement with the whole polynomial
+    determinant, taken by fraction-free Bareiss elimination over K[t].
+    (Expanding along the first column, the lowest order is attained at the
+    row mu = m, whose cofactor sign (-1)^m cancels the (-1)^m coming from
+    negating the m remainder columns; the remaining sign is
+    sigma_ml = (-1)^(ml).)
     """
     systems = [pade_construct(m, l, mu, alpha) for mu in range(m + 1)]
     d = systems[0].d

@@ -71,17 +71,20 @@ def test_criterion_1_pade_order_suite():
 def test_criterion_2_determinant_suite():
     start = time.monotonic()
     pool = [1, -1, 2, -2, 3]
+    grid = [(m, l) for m in (1, 2) for l in (1, 2, 3)] + [(m, l) for m in (3, 4, 5) for l in (1, 2)]
+    cases = [(m, l, alphas) for m, l in grid for alphas in itertools.combinations(pool, m)]
+    K5 = QuadraticField(5)
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    cases.append((3, 2, (phi, phi.conjugate(), K5(2))))
     checked = 0
-    for m in (1, 2):
-        for l in (1, 2, 3):
-            for alphas in itertools.combinations(pool, m):
-                exponent, _, equal = pade_determinant(m, l, list(alphas))
-                assert equal, (m, l, alphas)
-                assert exponent == m * (m + 1) * l + m * (m - 1) // 2
-                checked += 1
+    for m, l, alphas in cases:
+        exponent, _, equal = pade_determinant(m, l, list(alphas))
+        assert equal, (m, l, alphas)
+        assert exponent == m * (m + 1) * l + m * (m - 1) // 2
+        checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"determinant suite took {elapsed:.1f}s"
-    _report(2, f"closed form matches brute force on {checked} instances in {elapsed:.1f}s")
+    _report(2, f"closed form matches the Bareiss determinant on {checked} instances in {elapsed:.1f}s")
 
 
 def test_criterion_3_sigma_annihilation():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -174,3 +176,21 @@ def test_power_and_inverse(K5):
     assert phi**5 == phi * phi * phi * phi * phi
     assert phi**-1 == 1 / phi
     assert phi**-3 * phi**3 == 1
+
+
+def test_pickle_and_deepcopy_round_trip(K5, KQ):
+    for a in (K5(Fraction(1, 2), Fraction(-3, 2)), K5(7), KQ(Fraction(-5, 6)), K5(0)):
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert type(b) is type(a)
+            assert b == a and b.d == a.d and hash(b) == hash(a)
+            assert b.integral_form() == a.integral_form() and repr(b) == repr(a)
+
+
+def test_elements_are_immutable(K5):
+    a = K5(1, 2)
+    for name in ("x", "y", "d", "_A", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == K5(1, 2)

@@ -14,6 +14,7 @@ from eulerpade.errors import (
 )
 from eulerpade.numfield import QuadraticField, arch_abs_normalized
 from eulerpade.pade import (
+    _poly_det,
     operator_weights,
     pade_construct,
     pade_determinant,
@@ -250,6 +251,67 @@ def test_determinant_quadratic_field(K5):
     phi = K5(Fraction(1, 2), Fraction(1, 2))
     exponent, b, ok = pade_determinant(2, 1, [phi, phi.conjugate()])
     assert ok and exponent == 7 and b
+
+
+def _cofactor_det(matrix, d):
+    """The determinant by recursive cofactor expansion along the first row."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    acc = Poly.zero(d)
+    for col in range(n):
+        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
+        term = matrix[0][col] * _cofactor_det(minor, d)
+        acc = acc + term if col % 2 == 0 else acc - term
+    return acc
+
+
+def _random_poly(rng, K, max_degree=3):
+    def coeff():
+        y = Fraction(rng.randint(-5, 5), rng.choice((1, 2))) if K.d is not None else 0
+        return K(Fraction(rng.randint(-5, 5), rng.choice((1, 2))), y)
+
+    return Poly([coeff() for _ in range(rng.randint(0, max_degree + 1))], K.d)
+
+
+def _random_matrix(rng, K, n):
+    return [[_random_poly(rng, K) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("d", [None, 5])
+def test_bareiss_matches_cofactor_expansion(d):
+    K = QuadraticField(d)
+    rng = random.Random(f"bareiss {d}")
+    t = Poly([0, 1], d)
+    for n in range(1, 6):
+        for _ in range(6):
+            matrix = _random_matrix(rng, K, n)
+            assert _poly_det(matrix, d) == _cofactor_det(matrix, d)
+        # a zero top-left pivot forces a row swap at the first step
+        matrix = _random_matrix(rng, K, n)
+        matrix[0][0] = Poly.zero(d)
+        assert _poly_det(matrix, d) == _cofactor_det(matrix, d)
+        # a zero first column leaves no pivot at all
+        matrix = _random_matrix(rng, K, n)
+        for row in matrix:
+            row[0] = Poly.zero(d)
+        assert not _poly_det(matrix, d) and not _cofactor_det(matrix, d)
+        if n < 3:
+            continue
+        # row 1 starts as t * row 0, so the leading 2x2 minor and with it
+        # the second pivot vanish, while the determinant does not
+        while True:
+            matrix = _random_matrix(rng, K, n)
+            matrix[1][0], matrix[1][1] = t * matrix[0][0], t * matrix[0][1]
+            det = _cofactor_det(matrix, d)
+            if matrix[0][0] and det:
+                break
+        assert _poly_det(matrix, d) == det
+        # the last row a combination of the first two: determinant 0
+        matrix = _random_matrix(rng, K, n)
+        matrix[-1] = [a + t * b for a, b in zip(matrix[0], matrix[1])]
+        assert not _cofactor_det(matrix, d)
+        assert not _poly_det(matrix, d)
 
 
 def test_select_mu_example():
