@@ -338,7 +338,7 @@ def _poly_det(matrix: list[list[Poly]], d) -> Poly:
 def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     """The determinant of the (m+1) x (m+1) matrix of B_{l,mu,j} over mu, j.
 
-    Returns (exponent, b, brute_force_equal): the determinant is the single
+    Returns (exponent, b, determinant_equal): the determinant is the single
     monomial b * t^(m(m+1)l + m(m-1)/2) with
 
         b = (-1)^(ml) prod_{mu<m} (ml+mu)! prod_j alpha_j^l
