@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .arith import euler_phi, factorize, prime_range, primes_upto, squarefree_part
 from .errors import (
-    AllLambdaZeroError,
     HeightTooSmallError,
     InvalidModulusError,
     NonIntegralRootsError,
@@ -33,7 +32,7 @@ from .errors import (
 from .numfield import (
     FieldElement,
     QuadraticField,
-    _as_elem,
+    _validated_lambdas,
     _validated_points,
     arch_abs_normalized,
 )
@@ -278,7 +277,13 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
     )
 
 
-def z_inverse(y: float, rel_tol: float = 1e-12, max_iter: int = 100000) -> tuple[float, list[float]]:
+#: z_inverse stops once successive iterates agree to this relative tolerance,
+#: or after Z_INVERSE_MAX_ITER steps
+Z_INVERSE_REL_TOL = 1e-12
+Z_INVERSE_MAX_ITER = 100000
+
+
+def z_inverse(y: float) -> tuple[float, list[float]]:
     """Invert z*log(z) = y for y >= e by the nested-logarithm iteration.
 
     z_0 = y, z_n = y / log(z_{n-1}); odd iterates climb from below and even
@@ -289,10 +294,10 @@ def z_inverse(y: float, rel_tol: float = 1e-12, max_iter: int = 100000) -> tuple
         raise ValueError("y must be at least e")
     iterates = [y]
     z = y
-    for _ in range(max_iter):
+    for _ in range(Z_INVERSE_MAX_ITER):
         nz = y / math.log(z)
         iterates.append(nz)
-        if abs(nz - z) <= rel_tol * abs(nz):
+        if abs(nz - z) <= Z_INVERSE_REL_TOL * abs(nz):
             z = nz
             break
         z = nz
@@ -450,18 +455,6 @@ def linear_form_value(
     return acc, Fraction(precision) if tail is None else tail
 
 
-def _validated_lambdas(K: QuadraticField, lambda_vec, m: int) -> tuple[FieldElement, ...]:
-    lambdas = tuple(_as_elem(c, K.d) for c in lambda_vec)
-    if len(lambdas) != m + 1:
-        raise ValueError(f"expected {m + 1} linear-form coefficients")
-    if not any(lambdas):
-        raise AllLambdaZeroError("the coefficient vector must not vanish")
-    for c in lambdas:
-        if not c.is_algebraic_integer():
-            raise ValueError(f"coefficient {c} is not an algebraic integer")
-    return lambdas
-
-
 def certify_nonvanishing(
     K: QuadraticField,
     lambda_vec,
@@ -480,7 +473,10 @@ def certify_nonvanishing(
     yields an "undetermined" certificate, never a claim of vanishing.
     """
     alphas = _validated_alphas(K, alpha_vec)
-    lambdas = _validated_lambdas(K, lambda_vec, len(alphas))
+    lambdas = _validated_lambdas(lambda_vec, len(alphas), K.d)
+    for c in lambdas:
+        if not c.is_algebraic_integer():
+            raise ValueError(f"coefficient {c} is not an algebraic integer")
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     for p in prime_range(max(2, p_min), p_max):
@@ -500,7 +496,11 @@ def certify_nonvanishing(
     return Certificate(K.d, lambdas, alphas, None, n_max, None, None, "undetermined")
 
 
-def verify_certificate(cert: Certificate, extra_digits: int = 4) -> bool:
+#: digits of precision verify_certificate adds to the certificate's own
+VERIFY_EXTRA_DIGITS = 4
+
+
+def verify_certificate(cert: Certificate) -> bool:
     """Independently recompute a nonzero certificate at higher precision.
 
     The valuation of the residue must reproduce exactly and still sit below
@@ -510,7 +510,7 @@ def verify_certificate(cert: Certificate, extra_digits: int = 4) -> bool:
     if cert.status != "nonzero":
         return True
     v = cert.place
-    precision = cert.precision + extra_digits
+    precision = cert.precision + VERIFY_EXTRA_DIGITS
     value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
     w = value.valuation_lower()
     return (

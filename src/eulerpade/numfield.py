@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_squarefree
-from .errors import FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
+from .errors import AllLambdaZeroError, FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,16 @@ def _validated_points(points, d) -> tuple[FieldElement, ...]:
     if len({a.integral_form() for a in points}) != len(points):
         raise RepeatedAlphaError("evaluation points must be pairwise distinct")
     return points
+
+
+def _validated_lambdas(lambda_vec, m: int, d) -> tuple[FieldElement, ...]:
+    """The m + 1 coefficients of a linear form as elements of Q(sqrt(d)), not all zero."""
+    lambdas = tuple(_as_elem(c, d) for c in lambda_vec)
+    if len(lambdas) != m + 1:
+        raise ValueError(f"expected {m + 1} linear-form coefficients")
+    if not any(lambdas):
+        raise AllLambdaZeroError("the coefficient vector must not vanish")
+    return lambdas
 
 
 def arch_abs_normalized(K: QuadraticField, a: FieldElement) -> list[tuple[str, float]]:

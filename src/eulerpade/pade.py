@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .errors import AllLambdaZeroError, CutoffTooSmallError, DegeneratePolynomialError
-from .numfield import FieldElement, _as_elem, _validated_points
+from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatchError
+from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
 from .padics import CompletionElement, euler_eval_certified
 from .places import Place
 from .polys import Poly
@@ -35,7 +35,7 @@ def _common_field(elems) -> int | None:
     for e in elems:
         if isinstance(e, FieldElement) and e.d is not None:
             if d is not None and e.d != d:
-                raise ValueError("mixed quadratic fields")
+                raise FieldMismatchError("mixed quadratic fields")
             d = e.d
     return d
 
@@ -104,33 +104,69 @@ def operator_weights(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PadeSystem:
-    """The cleared system B_0..B_m for Euler's series with equal l_j = l."""
+    """Polynomials B_0..B_m for G(t) = sum_n [P]_n t^n, P(x) = p0 + p1 x.
 
-    m: int
-    l: int
+    B_0(t) G(alpha_j t) - B_j(t) vanishes to order at least L + mu + l_j.
+    pade_construct builds Euler's system: P(x) = 1 + x, every l_j = l and
+    the columns cleared by (ml+mu)!; pade_generic divides them by
+    [P]_{L+mu} instead.
+    """
+
+    l_vec: tuple[int, ...]
     mu: int
     alpha: tuple[FieldElement, ...]
+    p0: int | FieldElement
+    p1: int | FieldElement
     sigma: SigmaVector
     B: tuple[Poly, ...]
     d: int | None
 
     @property
+    def m(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def l(self) -> int:
+        return min(self.l_vec)
+
+    @property
     def order_target(self) -> int:
-        return (self.m + 1) * self.l + self.mu
+        return self.sigma.L + self.mu + self.l
 
     def b_values(self) -> tuple[FieldElement, ...]:
         """b_{l,mu,i} = B_i(1) for i = 0..m."""
         return tuple(B(1) for B in self.B)
 
     def remainder_coefficient(self, n: int, j: int) -> FieldElement:
-        """Coefficient n of B_0(t) F(alpha_j t), that is (ml+mu)! * r_{n,j} (j 1-based).
+        """Coefficient n of B_0(t) G(alpha_j t) (j 1-based).
 
-        It equals B_j's coefficient below ml+mu, and the Pade property makes
-        it vanish for ml+mu <= n < (m+1)l+mu.
+        It equals B_j's coefficient below L+mu, and the Pade property makes
+        it vanish for L+mu <= n < L+mu+l_j.  For Euler's system it is
+        (ml+mu)! * r_{n,j}.
         """
         if not 1 <= j <= self.m:
             raise ValueError(f"j must be in 1..{self.m}")
-        return _product_series(self.B[0], 1, 1, self.alpha[j - 1], n + 1)[n]
+        return _product_series(self.B[0], self.p0, self.p1, self.alpha[j - 1], n + 1)[n]
+
+    def order_check(self, cutoff: int) -> list[int]:
+        """First nonzero exponent of B_0(t) G(alpha_j t) - B_j(t) below the cutoff, per column.
+
+        Expands B_0 times the exactly truncated series and compares it with
+        B_j.  The product-series coefficients must vanish on the band
+        L+mu <= n < L+mu+l_j; a violation raises RuntimeError.
+        """
+        start = self.sigma.L + self.mu
+        if cutoff < start + max(self.l_vec) + 5:
+            raise CutoffTooSmallError(f"cutoff must be at least {start + max(self.l_vec) + 5}")
+        orders = []
+        for j, (point, lj) in enumerate(zip(self.alpha, self.l_vec), start=1):
+            series = _product_series(self.B[0], self.p0, self.p1, point, cutoff + 1)
+            for n in range(start, start + lj):
+                if series[n]:
+                    raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
+            column = self.B[j]
+            orders.append(next((n for n, c in enumerate(series) if c != column[n]), cutoff))
+        return orders
 
     def to_json(self) -> dict:
         return {
@@ -183,26 +219,6 @@ def _cleared_columns(
     return tuple(columns), cleared
 
 
-def _column_orders(columns, points, l_vec, mu: int, p0, p1, cutoff: int) -> list[int]:
-    """First nonzero exponent of C_0(t) G(beta_j t) - C_j(t) below the cutoff, per column.
-
-    The product-series coefficients must vanish on the band
-    L+mu <= n < L+mu+l_j; a violation raises RuntimeError.
-    """
-    start = sum(l_vec) + mu
-    if cutoff < start + max(l_vec) + 5:
-        raise CutoffTooSmallError(f"cutoff must be at least {start + max(l_vec) + 5}")
-    orders = []
-    for j, (point, lj) in enumerate(zip(points, l_vec), start=1):
-        series = _product_series(columns[0], p0, p1, point, cutoff + 1)
-        for n in range(start, start + lj):
-            if series[n]:
-                raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
-        column = columns[j]
-        orders.append(next((n for n, c in enumerate(series) if c != column[n]), cutoff))
-    return orders
-
-
 def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
     """Build the cleared Euler-series system for given m >= 1, l >= 1, 0 <= mu <= m.
 
@@ -219,51 +235,20 @@ def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
     alpha = _validated_points(alpha, d)
     sv = sigma_coeffs([l] * m, alpha)
     columns, _ = _cleared_columns(sv, mu, 1, 1, d)
-    return PadeSystem(m, l, mu, alpha, sv, columns, d)
+    return PadeSystem(sv.l_vec, mu, alpha, 1, 1, sv, columns, d)
 
 
 def pade_order_check(system: PadeSystem, cutoff: int) -> int:
-    """Minimal vanishing order over j of B_0(t) F(alpha_j t) - B_j(t).
+    """Minimal vanishing order over j of B_0(t) G(alpha_j t) - B_j(t).
 
-    Expands B_0 times the exactly truncated series, compares it with B_j,
-    and returns the smallest first-nonzero exponent across columns; it also
-    confirms the product-series coefficients vanish on the whole band
-    ml+mu <= n < (m+1)l+mu.
+    The smallest entry of system.order_check(cutoff), which also confirms
+    the vanishing band of every column.
     """
-    return min(
-        _column_orders(
-            system.B, system.alpha, [system.l] * system.m, system.mu, 1, 1, cutoff
-        )
-    )
+    return min(system.order_check(cutoff))
 
 
-@dataclass(frozen=True)
-class GenericPadeSystem:
-    """The uncleared system A_0..A_m over G(t) = sum [P]_n t^n, deg P = 1."""
-
-    l_vec: tuple[int, ...]
-    mu: int
-    beta: tuple[FieldElement, ...]
-    p0: FieldElement
-    p1: FieldElement
-    sigma: SigmaVector
-    A: tuple[Poly, ...]
-    d: int | None
-
-    def remainder_coefficient(self, n: int, j: int) -> FieldElement:
-        """Coefficient n of A_0(t) G(beta_j t), that is
-        r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}."""
-        if not 1 <= j <= len(self.beta):
-            raise ValueError(f"j must be in 1..{len(self.beta)}")
-        return _product_series(self.A[0], self.p0, self.p1, self.beta[j - 1], n + 1)[n]
-
-    def order_check(self, cutoff: int) -> list[int]:
-        """First nonzero exponent of A_0(t) G(beta_j t) - A_j(t), per column."""
-        return _column_orders(self.A, self.beta, self.l_vec, self.mu, self.p0, self.p1, cutoff)
-
-
-def pade_generic(l_vec, mu: int, beta, p0, p1) -> GenericPadeSystem:
-    """Build A_0(t) = sum_i sigma_i/[P]_{i+mu} t^(L-i) and the matching A_j.
+def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
+    """Build B_0(t) = sum_i sigma_i/[P]_{i+mu} t^(L-i) and the matching B_j.
 
     The orders l_j may differ from column to column; the remainder in
     column j vanishes to order at least L + mu + l_j.  The columns are the
@@ -283,9 +268,8 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> GenericPadeSystem:
     if not cleared:
         raise ZeroDivisionError("P vanishes at a nonnegative integer below L + mu")
     scale = cleared.inverse()
-    return GenericPadeSystem(
-        tuple(int(l) for l in l_vec), mu, sv.beta, p0, p1, sv,
-        tuple(column * scale for column in columns), d,
+    return PadeSystem(
+        sv.l_vec, mu, sv.beta, p0, p1, sv, tuple(column * scale for column in columns), d
     )
 
 
@@ -382,14 +366,10 @@ def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:
     t = 1.
     """
     m = len(alpha)
-    if len(lambda_vec) != m + 1:
-        raise ValueError(f"expected {m + 1} linear-form coefficients")
     d = _common_field(
         [e for e in (*lambda_vec, *alpha) if isinstance(e, FieldElement)]
     )
-    lambdas = [_as_elem(c, d) for c in lambda_vec]
-    if not any(lambdas):
-        raise AllLambdaZeroError("the coefficient vector must not vanish")
+    lambdas = _validated_lambdas(lambda_vec, m, d)
     for mu in range(m + 1):
         system = pade_construct(m, l, mu, alpha)
         w = _as_elem(0, d)
@@ -405,8 +385,11 @@ def remainder_at_unity(system: PadeSystem, v: Place, j: int, precision: int) -> 
 
     The infinite remainder series is never summed directly; the certified
     evaluation of F_v feeds the defining identity instead, and the listed
-    precision is honest because B_0(1) is an algebraic integer.
+    precision is honest because B_0(1) is an algebraic integer.  Systems
+    over any other P are refused, since their B_0 multiplies another series.
     """
+    if (system.p0, system.p1) != (1, 1):
+        raise ValueError("remainder_at_unity needs Euler's series, P(x) = 1 + x")
     if not 1 <= j <= system.m:
         raise ValueError(f"j must be in 1..{system.m}")
     b0, bj = system.B[0](1), system.B[j](1)

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import eulerpade
+from eulerpade import pade
 from eulerpade.errors import (
     AllLambdaZeroError,
     CutoffTooSmallError,
     DegeneratePolynomialError,
+    FieldMismatchError,
     RepeatedAlphaError,
     ZeroAlphaError,
 )
@@ -186,7 +189,7 @@ def test_pade_generic_reduces_to_cleared():
         cleared = pade_construct(m, l, mu, alphas)
         generic = pade_generic([l] * m, mu, alphas, 1, 1)
         scale = math.factorial(m * l + mu)
-        for cleared_poly, generic_poly in zip(cleared.B, generic.A):
+        for cleared_poly, generic_poly in zip(cleared.B, generic.B):
             assert cleared_poly == generic_poly * scale
 
 
@@ -204,6 +207,77 @@ def test_pade_generic_other_polynomial():
 def test_pade_generic_degenerate():
     with pytest.raises(DegeneratePolynomialError):
         pade_generic([1], 0, [1], 1, 0)
+
+
+def _rising(p0, p1, n):
+    """[P]_n = prod_{k<n} (p0 + p1 k)."""
+    return math.prod(p0 + p1 * k for k in range(n))
+
+
+def _generic_remainder(l_vec, mu, beta, p0, p1, j, n):
+    """Coefficient n of A_0(t) G(beta_j t) by the closed form
+    r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}, with
+    sigma, the coefficients of prod_j (beta_j - w)^{l_j}, expanded here."""
+    sigma = [1]
+    for lj, b in zip(l_vec, beta):
+        for _ in range(lj):
+            sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
+    L = len(sigma) - 1
+    bj = Fraction(beta[j - 1])
+    return sum(
+        Fraction(sigma[L - h] * _rising(p0, p1, n - h), _rising(p0, p1, L - h + mu)) * bj ** (n - h)
+        for h in range(min(L, n) + 1)
+    )
+
+
+def test_pade_generic_remainder_and_orders():
+    l_vec, mu, beta, p0, p1 = [1, 2], 1, [1, -2], 1, 2
+    system = pade_generic(l_vec, mu, beta, p0=p0, p1=p1)
+    assert (system.m, system.l, system.order_target) == (2, 1, 5)
+    start = sum(l_vec) + mu
+    for j, lj in enumerate(l_vec, start=1):
+        for n in range(start + lj + 3):
+            expected = _generic_remainder(l_vec, mu, beta, p0, p1, j, n)
+            assert system.remainder_coefficient(n, j) == expected
+            if n < start:
+                assert system.B[j][n] == expected
+            elif n < start + lj:
+                assert not expected
+    cutoff = start + max(l_vec) + 5
+    orders = system.order_check(cutoff)
+    assert all(order >= start + lj for order, lj in zip(orders, l_vec))
+    assert pade_order_check(system, cutoff) == min(orders) >= system.order_target
+
+
+def test_remainder_at_unity_needs_euler_series():
+    system = pade_generic([1], 0, [1], 1, 2)
+    v = places_above(QuadraticField(), 3)[0]
+    with pytest.raises(ValueError, match="1 \\+ x"):
+        remainder_at_unity(system, v, 1, 4)
+
+
+def test_mixed_fields_refused(K5):
+    s5, s2 = K5.sqrt_gen(), QuadraticField(2).sqrt_gen()
+    with pytest.raises(FieldMismatchError):
+        pade_construct(2, 1, 0, [s5, s2])
+    with pytest.raises(FieldMismatchError):
+        pade_generic([1, 1], 0, [s5, s2], 1, 1)
+    with pytest.raises(FieldMismatchError):
+        sigma_coeffs([1, 1], [s5, s2])
+    with pytest.raises(FieldMismatchError):
+        select_mu(1, [1, s2], [s5])
+
+
+def test_exports_complete():
+    for name in eulerpade.__all__:
+        assert getattr(eulerpade, name) is not None, name
+    assert len(set(eulerpade.__all__)) == len(eulerpade.__all__)
+    defined = {
+        name for name, obj in vars(pade).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == pade.__name__
+    }
+    assert "PadeSystem" in defined
+    assert defined <= set(eulerpade.__all__)
 
 
 def test_determinant_minimal():
