@@ -32,6 +32,7 @@ from .errors import (
 from .numfield import (
     FieldElement,
     QuadraticField,
+    _algebraic_integer,
     _validated_lambdas,
     _validated_points,
     arch_abs_normalized,
@@ -97,8 +98,7 @@ def _arch_value_table(K: QuadraticField, elems) -> list[list[float]]:
 def _validated_alphas(K: QuadraticField, alpha_vec) -> tuple[FieldElement, ...]:
     alphas = _validated_points(alpha_vec, K.d)
     for a in alphas:
-        if not a.is_algebraic_integer():
-            raise ValueError(f"{a} is not an algebraic integer")
+        _algebraic_integer(a, K.d)
     return alphas
 
 
@@ -352,9 +352,8 @@ def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tu
     if len(init) != k:
         raise ValueError(f"expected {k} initial values")
     if k == 1:
-        alpha = FieldElement(Fraction(c_vec[0]), Fraction(0), None)
-        b = FieldElement(Fraction(init[0]), Fraction(0), None)
-        return (alpha,), (b,), 1
+        K = QuadraticField()
+        return (K(c_vec[0]),), (K(init[0]),), 1
     c1, c2 = c_vec
     disc = c1 * c1 + 4 * c2
     if disc == 0:
@@ -362,18 +361,15 @@ def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tu
     s = squarefree_part(disc)
     f = math.isqrt(disc // s)
     if s == 1:
-        d_field = None
-        r1 = FieldElement(Fraction(c1 + f, 2), Fraction(0), None)
-        r2 = FieldElement(Fraction(c1 - f, 2), Fraction(0), None)
+        K = QuadraticField()
+        r1, r2 = K(Fraction(c1 + f, 2)), K(Fraction(c1 - f, 2))
     else:
-        d_field = s
-        r1 = FieldElement(Fraction(c1, 2), Fraction(f, 2), s)
-        r2 = FieldElement(Fraction(c1, 2), Fraction(-f, 2), s)
+        K = QuadraticField(s)
+        r1, r2 = K(Fraction(c1, 2), Fraction(f, 2)), K(Fraction(c1, 2), Fraction(-f, 2))
     for r in (r1, r2):
         if not r.is_algebraic_integer():
             raise NonIntegralRootsError(f"characteristic root {r} is not integral")
-    x0 = FieldElement(Fraction(init[0]), Fraction(0), d_field)
-    x1 = FieldElement(Fraction(init[1]), Fraction(0), d_field)
+    x0, x1 = K(init[0]), K(init[1])
     a1 = (x1 - x0 * r2) / (r1 - r2)
     a2 = x0 - a1
     d = math.lcm(a1.denominator(), a2.denominator())
@@ -475,8 +471,7 @@ def certify_nonvanishing(
     alphas = _validated_alphas(K, alpha_vec)
     lambdas = _validated_lambdas(lambda_vec, len(alphas), K.d)
     for c in lambdas:
-        if not c.is_algebraic_integer():
-            raise ValueError(f"coefficient {c} is not an algebraic integer")
+        _algebraic_integer(c, K.d)
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     for p in prime_range(max(2, p_min), p_max):

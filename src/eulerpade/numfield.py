@@ -9,7 +9,9 @@ Fractions.
 
 Every layer that asks what an element is over Z reads this one integral
 form; integrality and the least denominator n with n*a integral are
-closed forms in (A, B, c) and d.
+closed forms in (A, B, c) and d.  The input rules of the other layers
+(algebraic-integer inputs, nonzero and pairwise distinct points, linear-form
+coefficients that do not all vanish) are each checked by one helper here.
 """
 
 from __future__ import annotations
@@ -284,6 +286,14 @@ def _validated_points(points, d) -> tuple[FieldElement, ...]:
     if len({a.integral_form() for a in points}) != len(points):
         raise RepeatedAlphaError("evaluation points must be pairwise distinct")
     return points
+
+
+def _algebraic_integer(value, d) -> FieldElement:
+    """value as an element of Q(sqrt(d)), refused unless it is an algebraic integer."""
+    elem = _as_elem(value, d)
+    if not elem.is_algebraic_integer():
+        raise ValueError(f"{elem} is not an algebraic integer")
+    return elem
 
 
 def _validated_lambdas(lambda_vec, m: int, d) -> tuple[FieldElement, ...]:

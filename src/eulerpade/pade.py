@@ -231,7 +231,7 @@ def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
         raise ValueError("need m >= 1, l >= 1, 0 <= mu <= m")
     if len(alpha) != m:
         raise ValueError(f"expected {m} evaluation points")
-    d = _common_field(a for a in alpha if isinstance(a, FieldElement))
+    d = _common_field(alpha)
     alpha = _validated_points(alpha, d)
     sv = sigma_coeffs([l] * m, alpha)
     columns, _ = _cleared_columns(sv, mu, 1, 1, d)
@@ -252,13 +252,13 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
 
     The orders l_j may differ from column to column; the remainder in
     column j vanishes to order at least L + mu + l_j.  The columns are the
-    cleared ones divided by [P]_{L+mu}.
+    cleared ones divided by [P]_{L+mu}.  The points beta must be nonzero
+    and pairwise distinct, as in pade_construct.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    d = _common_field(
-        [e for e in (*beta, p0, p1) if isinstance(e, FieldElement)]
-    )
+    d = _common_field((*beta, p0, p1))
+    beta = _validated_points(beta, d)
     p0 = _as_elem(p0, d)
     p1 = _as_elem(p1, d)
     if not p1:
@@ -366,9 +366,7 @@ def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:
     t = 1.
     """
     m = len(alpha)
-    d = _common_field(
-        [e for e in (*lambda_vec, *alpha) if isinstance(e, FieldElement)]
-    )
+    d = _common_field((*lambda_vec, *alpha))
     lambdas = _validated_lambdas(lambda_vec, m, d)
     for mu in range(m + 1):
         system = pade_construct(m, l, mu, alpha)

@@ -40,7 +40,7 @@ from .errors import (
     NotSplitError,
     PrecisionCapError,
 )
-from .numfield import FieldElement, _as_elem
+from .numfield import FieldElement, _algebraic_integer, _as_elem
 from .places import INERT, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image, valuation
 
 #: hard ceiling on the requested residue precision N
@@ -265,10 +265,7 @@ def euler_eval_certified(v: Place, alpha, n_target: int) -> CertifiedValue:
     reported.
     """
     _check_precision(n_target)
-    alpha = _as_elem(alpha, v.d)
-    if not alpha.is_algebraic_integer():
-        raise ValueError(f"{alpha} is not an algebraic integer")
-    return _sum_factorial_series(v, 1, 1, alpha, n_target, None)
+    return _sum_factorial_series(v, 1, 1, _algebraic_integer(alpha, v.d), n_target, None)
 
 
 def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedValue:
@@ -282,14 +279,9 @@ def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedVal
     units, since then every P(k) is a unit and no term ever can.
     """
     _check_precision(n_target)
-    p0 = _as_elem(p0, v.d)
-    p1 = _as_elem(p1, v.d)
-    t = _as_elem(t, v.d)
-    if not p1:
+    if not _as_elem(p1, v.d):
         raise DegeneratePolynomialError("the coefficient polynomial must have degree one")
-    for name, val in (("p0", p0), ("p1", p1), ("t", t)):
-        if not val.is_algebraic_integer():
-            raise ValueError(f"{name} = {val} is not an algebraic integer")
+    p0, p1, t = (_algebraic_integer(x, v.d) for x in (p0, p1, t))
     if not (p0.y or p1.y):
         # integral rational coefficients: every factor P(k) is a plain int
         p0, p1 = int(p0.x), int(p1.x)

@@ -344,6 +344,19 @@ def test_certify_validation(KQ):
         certify_nonvanishing(KQ, [1, Fraction(1, 2)], [1], 2, 10)
 
 
+def test_non_integral_points_refused(KQ, K5):
+    V = ValuationSetDescriptor.all_places()
+    for K, bad in ((KQ, Fraction(1, 2)), (K5, K5(Fraction(1, 3), Fraction(1, 3)))):
+        for call in (
+            lambda: certify_nonvanishing(K, [0, 1], [bad], 2, 10),
+            lambda: constants_c1_c2(K, [bad], V),
+            lambda: limsup_sequence(K, [bad], V, 3),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(bad) in str(info.value)
+
+
 def test_certificate_json_roundtrip(KQ):
     cert = certify_nonvanishing(KQ, [0, -1], [1], 2, 10)
     obj = cert.to_json()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -142,6 +143,27 @@ def test_pade_validation():
         pade_construct(2, 1, 0, [1, 0])
     with pytest.raises(CutoffTooSmallError):
         pade_order_check(pade_construct(1, 1, 0, [1]), 3)
+
+
+def test_pade_generic_validation(K5):
+    with pytest.raises(ZeroAlphaError):
+        pade_generic([1], 0, [0], 1, 1)
+    with pytest.raises(RepeatedAlphaError):
+        pade_generic([1, 1], 0, [1, 1], 1, 1)
+    s5, s2 = K5.sqrt_gen(), QuadraticField(2).sqrt_gen()
+    with pytest.raises(FieldMismatchError):
+        pade_generic([1, 1], 0, [s5, s5], 1, s2)
+
+
+def test_order_check_compares_the_whole_prefix():
+    # a windowed comparison near the order target would miss both edits
+    s = pade_construct(2, 1, 1, [1, 2])
+    raised = dataclasses.replace(s, B=(s.B[0] + Poly([1], s.d),) + s.B[1:])
+    with pytest.raises(RuntimeError, match=r"^vanishing band violated at n=3, j=1$"):
+        raised.order_check(s.order_target + 5)
+    shifted = dataclasses.replace(s, B=(s.B[0], s.B[1] + Poly([0, 1], s.d), s.B[2]))
+    assert shifted.order_check(s.order_target + 5) == [1, 4]
+    assert s.order_check(s.order_target + 5) == [4, 4]
 
 
 def reference_column(system, j, n):

@@ -7,7 +7,12 @@ import pytest
 
 import eulerpade.padics as padics
 from eulerpade.arith import legendre_symbol, primes_upto
-from eulerpade.errors import NoConvergenceError, NotSplitError, PrecisionCapError
+from eulerpade.errors import (
+    DegeneratePolynomialError,
+    NoConvergenceError,
+    NotSplitError,
+    PrecisionCapError,
+)
 from eulerpade.numfield import QuadraticField
 from eulerpade.padics import (
     PRECISION_CAP,
@@ -218,6 +223,23 @@ def test_genfact_terminating_product(KQ):
     cv = genfact_eval(p2, 2, -1, 1, 4, 100)
     assert cv.value.a == (1 + 2 + 2) % 16
     assert cv.tail_valuation_bound >= 4
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_genfact_rejects_non_integral(KQ, K5, slot):
+    for K, bad in ((KQ, Fraction(1, 2)), (K5, K5(Fraction(1, 3), Fraction(1, 3)))):
+        (v,) = places_above(K, 5)
+        args = [1, 1, 1]  # p0, p1, t
+        args[slot] = bad
+        with pytest.raises(ValueError) as info:
+            genfact_eval(v, *args, 4, 100)
+        assert str(bad) in str(info.value)
+
+
+def test_genfact_degree_checked_before_integrality(KQ):
+    (p3,) = places_above(KQ, 3)
+    with pytest.raises(DegeneratePolynomialError):
+        genfact_eval(p3, Fraction(1, 2), 0, Fraction(1, 2), 4, 100)
 
 
 def test_residue_json_shapes(K5, KQ):
