@@ -42,7 +42,7 @@ elem = K(48, -1)  # 48 - sqrt(5); 48^2 = 5 mod 121
 print(f"w(48 - sqrt(5)) at split_1 / split_2 over 11: "
       f"{valuation(v1, elem)} / {valuation(v2, elem)}")
 print(f"log-absolute-value coefficient of sqrt(5) at 5: "
-      f"{normalized_abs_log(ram5, K.sqrt_gen()).coefficient}  (||sqrt5|| = 5^(-1/2))")
+      f"{normalized_abs_log(ram5, K.sqrt_gen())}  (||sqrt5|| = 5^(-1/2))")
 
 print("\n== Archimedean side and the product formula ==")
 for label, val in arch_abs_normalized(K, phi):

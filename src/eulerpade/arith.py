@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotSplitError
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -157,13 +159,14 @@ def canonical_sqrt_mod(d: int, p: int, n: int) -> int:
     For odd p the canonical root is the Hensel lift of min(r0, p - r0)
     where r0 is a root mod p; for p = 2 (requires d = 1 mod 8, n arbitrary)
     it is the root congruent to 1 mod 4.  The choice is compatible under
-    reduction, so raising n refines the same p-adic root.
+    reduction, so raising n refines the same p-adic root.  A d with no root
+    in Z_p^* raises NotSplitError.
     """
     if n < 1:
         raise ValueError("precision must be >= 1")
     if p == 2:
         if d % 8 != 1:
-            raise ValueError("d must be 1 mod 8 for a 2-adic square root")
+            raise NotSplitError(f"{d} must be 1 mod 8 for a 2-adic square root")
         if n <= 2:
             return 1 % (1 << n)
         # lift one level past n and reduce: of the four roots mod 2^(n+1),
@@ -176,7 +179,7 @@ def canonical_sqrt_mod(d: int, p: int, n: int) -> int:
             k += 1
         return r % (1 << n)
     if d % p == 0 or legendre_symbol(d, p) != 1:
-        raise ValueError("d is not an invertible square mod p")
+        raise NotSplitError(f"{d} is not an invertible square mod {p}")
     r0 = _tonelli_shanks(d, p)
     r = min(r0, p - r0)
     k = 1

@@ -24,7 +24,6 @@ from .arith import euler_phi, factorize, prime_range, primes_upto, squarefree_pa
 from .errors import (
     HeightTooSmallError,
     InvalidModulusError,
-    NonIntegralRootsError,
     OrderUnsupportedError,
     RepeatedRootsError,
     UnsupportedDescriptorError,
@@ -78,7 +77,7 @@ class ValuationSetDescriptor:
 
     def excludes_place(self, place: Place) -> bool:
         if self.kind == "cofinite":
-            return any(place.p == v.p and place.splitting == v.splitting for v in self.excluded)
+            return place in self.excluded
         if self.kind == "residue_classes":
             return place.p % self.modulus not in self.classes
         return False
@@ -126,7 +125,7 @@ def constants_c1_c2(
         for v in places_above(K, p):
             if V.excludes_place(v):
                 continue
-            c2 *= max(p ** -float(normalized_abs_log(v, a).coefficient) for a in alphas)
+            c2 *= max(p ** -float(normalized_abs_log(v, a)) for a in alphas)
     return c1, c2
 
 
@@ -366,9 +365,6 @@ def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tu
     else:
         K = QuadraticField(s)
         r1, r2 = K(Fraction(c1, 2), Fraction(f, 2)), K(Fraction(c1, 2), Fraction(-f, 2))
-    for r in (r1, r2):
-        if not r.is_algebraic_integer():
-            raise NonIntegralRootsError(f"characteristic root {r} is not integral")
     x0, x1 = K(init[0]), K(init[1])
     a1 = (x1 - x0 * r2) / (r1 - r2)
     a2 = x0 - a1
@@ -414,12 +410,25 @@ class Certificate:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
+    """Read back a to_json() record, refusing an unknown status, a count of
+    lambdas other than m + 1, a place that places_above(K, p) does not list,
+    and a nonzero claim with a gap."""
+    status = obj["status"]
+    if status not in ("nonzero", "undetermined"):
+        raise ValueError(f"unknown certificate status {status!r}")
+    claim = ("place", "precision", "partial_valuation", "tail_valuation_bound")
+    missing = [key for key in claim if obj[key] is None]
+    if status == "nonzero" and missing:
+        raise ValueError(f"a nonzero certificate needs {', '.join(missing)}")
     K = QuadraticField(obj["field_d"])
-    lambdas = tuple(K.parse(s) for s in obj["lambdas"])
     alphas = tuple(K.parse(s) for s in obj["alphas"])
+    lambdas = _validated_lambdas([K.parse(s) for s in obj["lambdas"]], len(alphas), K.d)
     place = None
     if obj["place"] is not None:
-        place = Place(obj["place"]["p"], obj["place"]["splitting"], K.d)
+        p, splitting = obj["place"]["p"], obj["place"]["splitting"]
+        place = next((v for v in places_above(K, p) if v.splitting == splitting), None)
+        if place is None:
+            raise ValueError(f"{K} has no place {splitting}@{p}")
     return Certificate(
         K.d,
         lambdas,
@@ -428,7 +437,7 @@ def certificate_from_json(obj: dict) -> Certificate:
         obj["precision"],
         None if obj["partial_valuation"] is None else Fraction(obj["partial_valuation"]),
         None if obj["tail_valuation_bound"] is None else Fraction(obj["tail_valuation_bound"]),
-        obj["status"],
+        status,
     )
 
 
@@ -498,13 +507,16 @@ VERIFY_EXTRA_DIGITS = 4
 def verify_certificate(cert: Certificate) -> bool:
     """Independently recompute a nonzero certificate at higher precision.
 
-    The valuation of the residue must reproduce exactly and still sit below
-    the (now larger) tail bound.  Undetermined certificates claim nothing
-    and verify vacuously.
+    The place must be one that places_above lists for the field, and the
+    valuation of the residue must reproduce exactly and still sit below the
+    (now larger) tail bound.  Undetermined certificates claim nothing and
+    verify vacuously; any other status does not verify.
     """
     if cert.status != "nonzero":
-        return True
+        return cert.status == "undetermined"
     v = cert.place
+    if v not in places_above(QuadraticField(cert.field_d), v.p):
+        return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
     value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
     w = value.valuation_lower()

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from .arith import is_prime
 from .certify import (
     ValuationSetDescriptor,
     certify_nonvanishing,
@@ -25,7 +26,7 @@ from .certify import (
     residue_condition,
     effective_bounds,
 )
-from .errors import EulerPadeError, PrecisionCapError
+from .errors import EulerPadeError, InvalidPrimeError, PrecisionCapError
 from .numfield import QuadraticField
 from .pade import pade_construct, pade_order_check
 from .padics import euler_eval_certified
@@ -58,7 +59,7 @@ def _cmd_pade(args) -> int:
     K = _field(args)
     alphas = _parse_elems(K, args.alphas)
     system = pade_construct(args.m, args.l, args.mu, alphas)
-    cutoff = args.cutoff if args.cutoff else system.order_target + 6
+    cutoff = system.order_target + 6 if args.cutoff is None else args.cutoff
     order = pade_order_check(system, cutoff)
     payload = system.to_json()
     payload["order"] = order
@@ -97,6 +98,8 @@ def _cmd_eval(args) -> int:
 def _cmd_certificate(args) -> int:
     K, lambdas, alphas = args.linear_form(args)
     if args.p is not None:
+        if not is_prime(args.p):
+            raise InvalidPrimeError(f"--p {args.p} is not prime")
         p_min, p_max = args.p, args.p
     else:
         p_min, p_max = args.pmin, args.pmax

@@ -70,9 +70,5 @@ class RepeatedRootsError(EulerPadeError, ValueError):
     """The characteristic polynomial has a repeated root."""
 
 
-class NonIntegralRootsError(EulerPadeError, ValueError):
-    """The characteristic roots are not algebraic integers."""
-
-
 class OrderUnsupportedError(EulerPadeError, ValueError):
     """Only recurrences of order at most two are reduced."""

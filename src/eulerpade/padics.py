@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .arith import is_prime, legendre_symbol, canonical_sqrt_mod, padic_ord_int
+from .arith import canonical_sqrt_mod, is_prime, padic_ord_int
 from .errors import (
     DegeneratePolynomialError,
     NoConvergenceError,
@@ -58,12 +58,8 @@ def hensel_sqrt(d: int, p: int, n: int) -> int:
     choice is the Hensel lift of min(r0, p - r0), so the value is stable
     across precisions; the other root is p^n - r.
     """
-    if n < 1:
-        raise ValueError("precision must be >= 1")
     if p == 2 or not is_prime(p):
         raise NotSplitError(f"p = {p} is not an admissible odd prime")
-    if d % p == 0 or legendre_symbol(d, p) != 1:
-        raise NotSplitError(f"{d} is not an invertible square mod {p}")
     return canonical_sqrt_mod(d, p, n)
 
 

@@ -2,9 +2,10 @@
 
 Valuations w_v are normalized so that w_v(p) = 1; at a ramified place the
 uniformizer then has w_v = 1/2, so values live in (1/2)Z.  Absolute values
-are only ever materialized in log-space: ||x||_v = p^(-coefficient) with an
-exact rational coefficient w_v(x) * kappa_v / kappa, which keeps the
-non-Archimedean side of the product formula exactly checkable.
+are only ever materialized in log-space, as the exact rational c =
+w_v(x) * kappa_v / kappa with ||x||_v = p^(-c), which keeps the
+non-Archimedean side of the product formula exactly checkable.  Every Place
+the package builds comes from places_above.
 
 At rational and split places one integer image of the integral form
 (A + B*sqrt(d))/c gives both residues and exact valuations, split ones from
@@ -76,13 +77,6 @@ class Place:
         return f"{self.splitting}@{self.p}"
 
 
-@dataclass(frozen=True)
-class LogAbs:
-    """log-space absolute value: the element has ||x||_v = p^(-coefficient)."""
-
-    coefficient: Fraction
-
-
 def places_above(K: QuadraticField, p: int) -> list[Place]:
     """All places of K above the prime p, in canonical order.
 
@@ -139,9 +133,9 @@ def valuation(v: Place, a: FieldElement) -> Fraction:
     return Fraction(padic_ord(a.norm(), v.p), 2)
 
 
-def normalized_abs_log(v: Place, a: FieldElement) -> LogAbs:
-    """||a||_v = p^(-coefficient) with coefficient = w_v(a) * kappa_v / kappa."""
-    return LogAbs(valuation(v, a) * Fraction(v.kappa_v, v.kappa))
+def normalized_abs_log(v: Place, a: FieldElement) -> Fraction:
+    """The exact c with ||a||_v = p^(-c): c = w_v(a) * kappa_v / kappa."""
+    return valuation(v, a) * Fraction(v.kappa_v, v.kappa)
 
 
 def factorial_valuation(p: int, n: int) -> int:
@@ -156,13 +150,6 @@ def factorial_valuation(p: int, n: int) -> int:
         total += n // q
         q *= p
     return total
-
-
-def contributing_primes(K: QuadraticField, a: FieldElement) -> list[int]:
-    """Primes p where some place above p can see a: p | num or den of norm(a)."""
-    n = a.norm()
-    ps = set(factorize(n.numerator)) | set(factorize(n.denominator))
-    return sorted(ps)
 
 
 def product_formula_defect(K: QuadraticField, a: FieldElement) -> float:
@@ -184,10 +171,8 @@ def product_formula_defect(K: QuadraticField, a: FieldElement) -> float:
 
 def nonarch_log_coefficients(K: QuadraticField, a: FieldElement) -> dict[int, Fraction]:
     """Per-prime exact coefficients c_p with prod_{v|p} ||a||_v = p^(-c_p)."""
-    out: dict[int, Fraction] = {}
-    for p in contributing_primes(K, a):
-        out[p] = sum(
-            (normalized_abs_log(v, a).coefficient for v in places_above(K, p)),
-            Fraction(0),
-        )
-    return out
+    n = a.norm()
+    return {
+        p: sum(normalized_abs_log(v, a) for v in places_above(K, p))
+        for p in sorted(factorize(n.numerator) | factorize(n.denominator))
+    }

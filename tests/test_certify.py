@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from eulerpade.errors import (
     AllLambdaZeroError,
     HeightTooSmallError,
     InvalidModulusError,
+    InvalidPrimeError,
     OrderUnsupportedError,
     RepeatedRootsError,
     UnsupportedDescriptorError,
@@ -16,7 +18,7 @@ from eulerpade.errors import (
 from eulerpade.numfield import QuadraticField
 from eulerpade.pade import pade_construct, remainder_at_unity, select_mu
 from eulerpade.padics import CompletionElement
-from eulerpade.places import factorial_valuation, places_above, valuation
+from eulerpade.places import Place, factorial_valuation, places_above, valuation
 from eulerpade.certify import (
     ValuationSetDescriptor,
     certificate_from_json,
@@ -402,3 +404,86 @@ def test_descriptor_validation():
     desc = ValuationSetDescriptor.residue_classes(4, {1})
     assert desc.excludes_place(places_above(QuadraticField(), 3)[0])
     assert not desc.excludes_place(places_above(QuadraticField(), 5)[0])
+
+
+def _fib_record():
+    K, lambdas, alphas = fibonacci_linear_form(1, 1)
+    obj = certify_nonvanishing(K, lambdas, alphas, 2, 50).to_json()
+    assert obj["status"] == "nonzero" and obj["place"]["splitting"] == "inert"
+    return obj
+
+
+@pytest.mark.parametrize("splitting", ["ramified", "xyz"])
+def test_certificate_record_with_a_forged_place_is_refused(splitting):
+    # 2 is inert in Q(sqrt(5)): no other place lies above it
+    obj = _fib_record()
+    obj["place"]["splitting"] = splitting
+    with pytest.raises(ValueError, match=f"no place {splitting}@2"):
+        certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("splitting, d", [("ramified", 5), ("inert", None)])
+def test_certificate_at_a_place_the_field_lacks_does_not_verify(splitting, d):
+    cert = certificate_from_json(_fib_record())
+    assert verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, place=Place(2, splitting, d)))
+
+
+@pytest.mark.parametrize("key, extra", [("lambdas", "7"), ("alphas", "3")])
+def test_certificate_record_of_a_different_form_is_refused(key, extra):
+    # verification pairs lambda_j with alpha_j, so an unpaired entry would go unchecked
+    obj = _fib_record()
+    obj[key].append(extra)
+    with pytest.raises(ValueError, match="linear-form coefficients"):
+        certificate_from_json(obj)
+
+
+def test_certificate_record_with_a_composite_prime_is_refused():
+    obj = _fib_record()
+    obj["place"]["p"] = 4
+    with pytest.raises(InvalidPrimeError):
+        certificate_from_json(obj)
+
+
+def test_certificate_with_an_unknown_status():
+    obj = _fib_record()
+    obj["status"] = "bogus"
+    with pytest.raises(ValueError, match="status"):
+        certificate_from_json(obj)
+    cert = dataclasses.replace(certificate_from_json(_fib_record()), status="bogus")
+    assert not verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "key", ["place", "precision", "partial_valuation", "tail_valuation_bound"]
+)
+def test_nonzero_record_with_a_null_field_is_refused(key):
+    obj = _fib_record()
+    obj[key] = None
+    with pytest.raises(ValueError, match=key):
+        certificate_from_json(obj)
+
+
+def test_undetermined_record_roundtrip(KQ):
+    cert = certify_nonvanishing(KQ, [1, 1], [1], 5, 3)
+    back = certificate_from_json(cert.to_json())
+    assert back == cert and back.status == "undetermined"
+    assert verify_certificate(back)
+
+
+def test_zero_lambda_drops_its_point(KQ):
+    full = certify_nonvanishing(KQ, (1, 0, 1), (1, 2), 2, 50)
+    reduced = certify_nonvanishing(KQ, (1, 1), (2,), 2, 50)
+    assert dataclasses.replace(full, lambdas=(), alphas=()) == dataclasses.replace(
+        reduced, lambdas=(), alphas=()
+    )
+    assert verify_certificate(full)
+
+
+def test_cofinite_exclusion_compares_whole_places():
+    excluded = ValuationSetDescriptor.cofinite(places_above(QuadraticField(5), 3))
+    assert excluded.excludes_place(places_above(QuadraticField(5), 3)[0])
+    # inert@3 of Q(sqrt(2)) is another place with the same name
+    other = places_above(QuadraticField(2), 3)[0]
+    assert str(other) == "inert@3"
+    assert not excluded.excludes_place(other)

@@ -1,11 +1,19 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from eulerpade.certify import certificate_from_json, verify_certificate
+from eulerpade.certify import (
+    ValuationSetDescriptor,
+    certificate_from_json,
+    limsup_sequence,
+    verify_certificate,
+)
 from eulerpade.cli import build_parser, main
-from eulerpade.errors import PrecisionCapError
+from eulerpade.errors import CutoffTooSmallError, InvalidPrimeError, PrecisionCapError
+from eulerpade.numfield import QuadraticField
+from eulerpade.places import places_above
 
 
 def run_cli(capsys, argv):
@@ -188,3 +196,47 @@ def test_eval_prints_longest_residue(capsys):
     assert code == 0
     (value,) = json.loads(out)["values"]
     assert 0 < value["residue"] < 101**2100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--lambdas", "1;1", "--alphas", "1", "--p", "4"],
+        ["fib", "--a", "1", "--b", "1", "--p", "4"],
+        ["evenfact", "--a", "1", "--b", "2", "--p", "4"],
+    ],
+)
+def test_certificate_commands_refuse_a_composite_p(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "not prime" in err
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidPrimeError):
+        args.func(args)
+
+
+def test_pade_cutoff_zero_is_checked(capsys):
+    argv = ["pade", "--m", "1", "--l", "1", "--mu", "0", "--alphas", "1", "--cutoff", "0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(CutoffTooSmallError):
+        args.func(args)
+
+
+def test_limsup_exclude_p(capsys):
+    code, out, _ = run_cli(
+        capsys, ["limsup", "--alphas", "1/2,1/2;1/2,-1/2", "--field", "5", "--lmax", "6",
+                 "--exclude-p", "2,3", "--json"]
+    )
+    assert code == 0
+    K = QuadraticField(5)
+    V = ValuationSetDescriptor.cofinite(places_above(K, 2) + places_above(K, 3))
+    phi = K(Fraction(1, 2), Fraction(1, 2))
+    assert json.loads(out)["log_values"] == limsup_sequence(K, [phi, phi.conjugate()], V, 6)
+
+
+@pytest.mark.parametrize("excluded", ["4", "x"])
+def test_limsup_exclude_p_refuses_a_non_prime(capsys, excluded):
+    code, out, _ = run_cli(capsys, ["limsup", "--alphas", "1", "--exclude-p", excluded])
+    assert code == 1 and out == ""

@@ -229,6 +229,9 @@ def test_pade_generic_other_polynomial():
 def test_pade_generic_degenerate():
     with pytest.raises(DegeneratePolynomialError):
         pade_generic([1], 0, [1], 1, 0)
+    # P = x - 1 vanishes at 1 < L + mu = 2, so [P]_{L+mu} = 0 clears nothing
+    with pytest.raises(ZeroDivisionError):
+        pade_generic([1], 1, [1], -1, 1)
 
 
 def _rising(p0, p1, n):
@@ -276,6 +279,12 @@ def test_remainder_at_unity_needs_euler_series():
     v = places_above(QuadraticField(), 3)[0]
     with pytest.raises(ValueError, match="1 \\+ x"):
         remainder_at_unity(system, v, 1, 4)
+
+
+def test_rational_point_joins_the_quadratic_field(K5):
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    mixed = pade_construct(2, 1, 0, [QuadraticField()(1), phi])
+    assert mixed == pade_construct(2, 1, 0, [K5(1), phi])
 
 
 def test_mixed_fields_refused(K5):

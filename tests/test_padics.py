@@ -41,6 +41,8 @@ def test_hensel_sqrt_examples():
         hensel_sqrt(3, 7, 1)  # 3 is not a QR mod 7
     with pytest.raises(NotSplitError):
         hensel_sqrt(25, 5, 2)  # p | d
+    with pytest.raises(NotSplitError):
+        hensel_sqrt(5, 9, 2)  # not a prime
 
 
 def test_hensel_sqrt_random():
@@ -215,6 +217,10 @@ def test_genfact_no_convergence(KQ):
     (p3,) = places_above(KQ, 3)
     with pytest.raises(NoConvergenceError):
         genfact_eval(p3, 1, 3, 1, 2, 500)  # every [P]_n is a 3-adic unit
+    # P = 1 + x, t = 1 at 5: v_5(n!) first reaches 8 at n = 35
+    (p5,) = places_above(KQ, 5)
+    with pytest.raises(NoConvergenceError, match="within 10 terms"):
+        genfact_eval(p5, 1, 1, 1, 8, n_max=10)
 
 
 def test_genfact_terminating_product(KQ):
@@ -324,6 +330,15 @@ def test_completion_valuation_lower(K5, Km1, KQ):
     assert CompletionElement.from_field_element(split_1, 12, a).valuation_lower() == 1
     with pytest.raises(ValueError):
         CompletionElement.from_field_element(split_2, 12, a)
+    # 9 is 0 mod 3^2 at the inert place: a zero pair says nothing
+    (inert3,) = places_above(K5, 3)
+    assert CompletionElement.from_field_element(inert3, 2, K5(9)).valuation_lower() is None
+    # at ramified 2 with d = 3 mod 4 the value is read off the norm mod 2^N
+    K3 = QuadraticField(3)
+    (ram2,) = places_above(K3, 2)
+    x = K3(2, 2)
+    w = CompletionElement.from_field_element(ram2, 2, x).valuation_lower()
+    assert w is None or w == valuation(ram2, x) == Fraction(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -524,3 +539,12 @@ def test_summation_loop_is_int_native(monkeypatch, KQ, K5, Km1):
     for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
         monkeypatch.setattr(CompletionElement, name, refuse)
     assert run() == expected
+
+
+def test_canonical_sqrt_mod_refusals_are_not_split():
+    # the one admissibility rule for a root of d in Z_p^*, at 2 and odd p
+    from eulerpade.arith import canonical_sqrt_mod
+
+    for d, p in ((5, 2), (3, 2), (3, 7), (25, 5)):
+        with pytest.raises(NotSplitError):
+            canonical_sqrt_mod(d, p, 3)
