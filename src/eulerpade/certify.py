@@ -16,6 +16,7 @@ reported as "undetermined", never as vanishing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .errors import (
     HeightTooSmallError,
     InvalidModulusError,
     OrderUnsupportedError,
+    PrecisionCapError,
     RepeatedRootsError,
     UnsupportedDescriptorError,
 )
@@ -32,11 +34,22 @@ from .numfield import (
     FieldElement,
     QuadraticField,
     _algebraic_integer,
+    _as_elem,
+    _make,
     _validated_lambdas,
     _validated_points,
     arch_abs_normalized,
 )
-from .padics import CompletionElement, euler_eval_certified
+from .padics import (
+    PRECISION_CAP,
+    CompletionElement,
+    _basis_for,
+    _law,
+    _pair_mul,
+    _residue,
+    _residue_w2,
+    euler_eval_certified,
+)
 from .places import Place, factorial_valuation, normalized_abs_log, places_above, valuation
 
 
@@ -409,10 +422,21 @@ class Certificate:
         }
 
 
+#: digits of precision verify_certificate adds to the certificate's own
+VERIFY_EXTRA_DIGITS = 4
+
+
+def _claimable_precision(precision) -> bool:
+    """Whether a nonzero claim may carry this precision: an int (not a bool)
+    that verify_certificate can raise by VERIFY_EXTRA_DIGITS within the cap."""
+    return type(precision) is int and 1 <= precision <= PRECISION_CAP - VERIFY_EXTRA_DIGITS
+
+
 def certificate_from_json(obj: dict) -> Certificate:
     """Read back a to_json() record, refusing an unknown status, a count of
     lambdas other than m + 1, a place that places_above(K, p) does not list,
-    and a nonzero claim with a gap."""
+    a precision that is not an int, and a nonzero claim with a gap or with a
+    precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
     status = obj["status"]
     if status not in ("nonzero", "undetermined"):
         raise ValueError(f"unknown certificate status {status!r}")
@@ -420,6 +444,13 @@ def certificate_from_json(obj: dict) -> Certificate:
     missing = [key for key in claim if obj[key] is None]
     if status == "nonzero" and missing:
         raise ValueError(f"a nonzero certificate needs {', '.join(missing)}")
+    precision = obj["precision"]
+    if precision is not None and type(precision) is not int:
+        raise ValueError(f"precision must be an int, got {precision!r}")
+    if status == "nonzero" and not _claimable_precision(precision):
+        raise ValueError(
+            f"precision {precision} is outside 1..{PRECISION_CAP - VERIFY_EXTRA_DIGITS}"
+        )
     K = QuadraticField(obj["field_d"])
     alphas = tuple(K.parse(s) for s in obj["alphas"])
     lambdas = _validated_lambdas([K.parse(s) for s in obj["lambdas"]], len(alphas), K.d)
@@ -434,11 +465,24 @@ def certificate_from_json(obj: dict) -> Certificate:
         lambdas,
         alphas,
         place,
-        obj["precision"],
+        precision,
         None if obj["partial_valuation"] is None else Fraction(obj["partial_valuation"]),
         None if obj["tail_valuation_bound"] is None else Fraction(obj["tail_valuation_bound"]),
         status,
     )
+
+
+#: the number of series values linear_form_value keeps, least recently used
+#: dropped first: forms over the same points share their values, and forms
+#: on small points of Q come back to them after a few hundred others
+EVAL_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=EVAL_MEMO_SIZE)
+def _series_value(v: Place, A: int, B: int, c: int, precision: int) -> tuple[int, int, int]:
+    """(a, b, 2 * tail bound) of F_v(alpha) mod p^precision, alpha = (A + B*sqrt(d))/c."""
+    cv = euler_eval_certified(v, _make(A, B, c, v.d), precision)
+    return cv.value.a, cv.value.b, int(2 * cv.tail_valuation_bound)
 
 
 def linear_form_value(
@@ -446,18 +490,28 @@ def linear_form_value(
 ) -> tuple[CompletionElement, Fraction]:
     """Residue mod p^precision of lambda_0 + sum_j lambda_j F_v(alpha_j),
     together with an exact lower bound on the valuation of what was cut.
+
+    Each F_v(alpha_j) is looked up in a bounded memo of series values, and
+    the form is summed on int pairs, with valuations in half-units.
+    w_v(lambda_j) is read off lambda_j's residue, and computed exactly only
+    when the residue leaves it open.
     """
-    acc = CompletionElement.from_field_element(v, precision, lambdas[0])
-    tail: Fraction | None = None
+    mod = v.p**precision
+    c, s = _law(_basis_for(v), v.d)
+    acc_a, acc_b = _residue(v, precision, lambdas[0])
+    tail2 = None
     for lam, al in zip(lambdas[1:], alphas):
         if not lam:
             continue
-        cv = euler_eval_certified(v, al, precision)
-        lam_c = CompletionElement.from_field_element(v, precision, lam)
-        acc = acc + lam_c * cv.value
-        bound = cv.tail_valuation_bound + valuation(v, lam)
-        tail = bound if tail is None else min(tail, bound)
-    return acc, Fraction(precision) if tail is None else tail
+        a, b, bound2 = _series_value(v, *_as_elem(al, v.d).integral_form(), precision)
+        la, lb = _residue(v, precision, lam)
+        ta, tb = _pair_mul(la, lb, a, b, c, s, mod)
+        acc_a, acc_b = acc_a + ta, acc_b + tb
+        w2 = _residue_w2(v, la, lb, mod)
+        bound2 += int(2 * valuation(v, lam)) if w2 is None else w2
+        tail2 = bound2 if tail2 is None else min(tail2, bound2)
+    value = CompletionElement(v, precision, acc_a % mod, acc_b % mod)
+    return value, Fraction(precision) if tail2 is None else Fraction(tail2, 2)
 
 
 def certify_nonvanishing(
@@ -490,6 +544,11 @@ def certify_nonvanishing(
                 value, tail = linear_form_value(lambdas, alphas, v, n)
                 w = value.valuation_lower()
                 if w is not None and w < tail and w < n:
+                    if not _claimable_precision(n):
+                        raise PrecisionCapError(
+                            f"a claim at precision {n} cannot be re-verified "
+                            f"within the cap {PRECISION_CAP}"
+                        )
                     cert = Certificate(
                         K.d, lambdas, alphas, v, n, w, tail, "nonzero"
                     )
@@ -500,21 +559,20 @@ def certify_nonvanishing(
     return Certificate(K.d, lambdas, alphas, None, n_max, None, None, "undetermined")
 
 
-#: digits of precision verify_certificate adds to the certificate's own
-VERIFY_EXTRA_DIGITS = 4
-
-
 def verify_certificate(cert: Certificate) -> bool:
     """Independently recompute a nonzero certificate at higher precision.
 
-    The place must be one that places_above lists for the field, and the
-    valuation of the residue must reproduce exactly and still sit below the
-    (now larger) tail bound.  Undetermined certificates claim nothing and
-    verify vacuously; any other status does not verify.
+    The place must be one that places_above lists for the field, the
+    precision one that certificate_from_json accepts, and the valuation of
+    the residue must reproduce exactly and still sit below the (now larger)
+    tail bound.  Undetermined certificates claim nothing and verify
+    vacuously; any other status does not verify.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
     v = cert.place
+    if not (isinstance(v, Place) and _claimable_precision(cert.precision)):
+        return False
     if v not in places_above(QuadraticField(cert.field_d), v.p):
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS

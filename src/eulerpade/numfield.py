@@ -4,8 +4,8 @@ An element x + y*sqrt(d) is stored as its integral form: ints (A, B, c)
 with x + y*sqrt(d) = (A + B*sqrt(d))/c, c > 0 and gcd(A, B, c) = 1; the
 rational field is the degenerate case d = None with B = 0.  Values are
 immutable, arithmetic is exact int arithmetic with one gcd per operation,
-and equality compares the triples.  The coordinates x and y are read as
-Fractions.
+and equality compares the triples.  Equal values hash equal, ints and
+Fractions included.  The coordinates x and y are read as Fractions.
 
 Every layer that asks what an element is over Z reads this one integral
 form; integrality and the least denominator n with n*a integral are
@@ -17,11 +17,15 @@ coefficients that do not all vanish) are each checked by one helper here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_squarefree
 from .errors import AllLambdaZeroError, FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
+
+#: the prime modulus of Python's hash of rational numbers
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,15 @@ class FieldElement:
         return (self._A, self._B, self._c) == common[1:]
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y, None if self._B == 0 else self.d))
+        """Equal values hash equal: a rational element hashes as the int or
+        Fraction A/c (Python's numeric hash, taken on the ints), an
+        irrational one as its integral form and field."""
+        A, B, c = self._A, self._B, self._c
+        if B:
+            return hash((A, B, c, self.d))
+        h = hash(abs(A) * pow(c, -1, _HASH_MODULUS)) if c % _HASH_MODULUS else sys.hash_info.inf
+        h = h if A >= 0 else -h
+        return -2 if h == -1 else h
 
     def __add__(self, other) -> FieldElement:
         common = self._common(other)

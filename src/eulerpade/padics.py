@@ -21,7 +21,11 @@ Euler's series is P(x) = 1 + x.  It runs on plain ints: the term and the
 partial sum are int residues mod p^N, or int pairs at inert and ramified
 places, and valuations are counted in half-units; only the result becomes a
 CompletionElement.  When P has rational-integer coefficients the factors
-P(k) stay plain ints, valued by v_p alone.  When w_v(t) = 0 and P(0), ...,
+P(k) stay plain ints, valued by v_p alone.  Otherwise w_v(P(k)), like
+w_v(t), is read off the residue the loop already holds, and computed
+exactly from the field element only when that residue leaves it open (a
+zero residue, or a norm that vanishes mod 2^N at a 2-adic ramified place),
+so every reported tail bound is exact.  When w_v(t) = 0 and P(0), ...,
 P(p-1) are all units, no term can ever clear the target, and the sum
 refuses at once.
 """
@@ -41,7 +45,7 @@ from .errors import (
     PrecisionCapError,
 )
 from .numfield import FieldElement, _algebraic_integer, _as_elem
-from .places import INERT, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image, valuation
+from .places import RAMIFIED, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image, valuation
 
 #: hard ceiling on the requested residue precision N
 PRECISION_CAP = 4096
@@ -83,6 +87,56 @@ def _pair_mul(a1: int, b1: int, a2: int, b2: int, c: int, s: int, mod: int) -> t
     return (a1 * a2 + c * bb) % mod, (a1 * b2 + b1 * a2 + s * bb) % mod
 
 
+def _residue(place: Place, n: int, value) -> tuple[int, int]:
+    """The pair (a, b) in the place's basis of the residue mod p^n of an
+    exact element with w_v >= 0."""
+    value = _as_elem(value, place.d)
+    p = place.p
+    mod = p**n
+    basis = _basis_for(place)
+    if basis == _INT:
+        image, k, c = _integer_image(place, value, n)
+        q = p**k
+        if image % q:
+            raise ValueError(f"{value} has negative valuation at {place}")
+        return image // q * pow(c // q, -1, mod) % mod, 0
+    A, B, c = value.integral_form()
+    if basis == _OMEGA:
+        # (A + B*sqrt(d))/c = ((A - B) + 2B * omega)/c
+        A, B = A - B, 2 * B
+        g = math.gcd(A, B, c)
+        A, B, c = A // g, B // g, c // g
+    if c % p == 0:
+        raise ValueError(f"{value} is not integral at {place}")
+    inv = pow(c, -1, mod)
+    return A * inv % mod, B * inv % mod
+
+
+def _residue_w2(place: Place, a: int, b: int, mod: int) -> int | None:
+    """2*w_v of any element whose residue mod `mod` is the pair (a, b) in
+    the place's basis, when the residue pins it down; None when it does not.
+
+    A zero residue is always undetermined (the element may sit anywhere at
+    or above w = N).  At a 2-adic ramified place with d = 3 mod 4 the
+    coordinates do not separate the uniformizer, so the valuation is read
+    off the norm instead, at one fewer digit of certainty.
+    """
+    p = place.p
+    if place.splitting in (RATIONAL, SPLIT_1, SPLIT_2):
+        return None if a == 0 else 2 * padic_ord_int(a, p)
+    if not (a or b):
+        return None
+    if p == 2 and place.d % 4 == 3:
+        nrm = (a * a - place.d * b * b) % mod
+        return None if nrm == 0 else padic_ord_int(nrm, 2)
+    if not b:
+        return 2 * padic_ord_int(a, p)
+    # the second basis vector is a unit at inert places, a uniformizer at
+    # ramified ones
+    w2_b = 2 * padic_ord_int(b, p) + (1 if place.splitting == RAMIFIED else 0)
+    return min(2 * padic_ord_int(a, p), w2_b) if a else w2_b
+
+
 @dataclass(frozen=True)
 class CompletionElement:
     """A residue mod p^N in the valuation ring at a place; the place fixes
@@ -108,26 +162,7 @@ class CompletionElement:
     @classmethod
     def from_field_element(cls, place: Place, n: int, value) -> CompletionElement:
         """Reduce an exact element with w_v >= 0 to its residue mod p^N."""
-        value = _as_elem(value, place.d)
-        p = place.p
-        mod = p**n
-        basis = _basis_for(place)
-        if basis == _INT:
-            image, k, c = _integer_image(place, value, n)
-            q = p**k
-            if image % q:
-                raise ValueError(f"{value} has negative valuation at {place}")
-            return cls(place, n, image // q * pow(c // q, -1, mod) % mod)
-        A, B, c = value.integral_form()
-        if basis == _OMEGA:
-            # (A + B*sqrt(d))/c = ((A - B) + 2B * omega)/c
-            A, B = A - B, 2 * B
-            g = math.gcd(A, B, c)
-            A, B, c = A // g, B // g, c // g
-        if c % p == 0:
-            raise ValueError(f"{value} is not integral at {place}")
-        inv = pow(c, -1, mod)
-        return cls(place, n, A * inv % mod, B * inv % mod)
+        return cls(place, n, *_residue(place, n, value))
 
     def _compat(self, other: CompletionElement) -> None:
         if self.place != other.place or self.n != other.n:
@@ -180,33 +215,9 @@ class CompletionElement:
 
     def valuation_lower(self) -> Fraction | None:
         """The exact w_v of any element with this residue, when the residue
-        pins it down; None when the residue leaves it undetermined.
-
-        A zero residue is always undetermined (the element may sit anywhere
-        at or above w = N).  At a 2-adic ramified place with d = 3 mod 4 the
-        coordinates do not separate the uniformizer, so the valuation is
-        read off the norm instead, at one fewer digit of certainty.
-        """
-        p = self.place.p
-        if self.basis == _INT:
-            return None if self.a == 0 else Fraction(padic_ord_int(self.a, p))
-        if not self:
-            return None
-        if self.place.splitting == INERT:
-            vals = [padic_ord_int(c, p) for c in (self.a, self.b) if c != 0]
-            return Fraction(min(vals))
-        # ramified places
-        if p == 2 and self.place.d % 4 == 3:
-            nrm = (self.a * self.a - self.place.d * self.b * self.b) % self.modulus
-            if nrm == 0:
-                return None
-            return Fraction(padic_ord_int(nrm, 2), 2)
-        vals = []
-        if self.a != 0:
-            vals.append(Fraction(padic_ord_int(self.a, p)))
-        if self.b != 0:
-            vals.append(Fraction(padic_ord_int(self.b, p)) + Fraction(1, 2))
-        return min(vals)
+        pins it down; None when it leaves it undetermined (see _residue_w2)."""
+        w2 = _residue_w2(self.place, self.a, self.b, self.modulus)
+        return None if w2 is None else Fraction(w2, 2)
 
     def sqrt_coordinates(self) -> tuple[Fraction, Fraction]:
         """Residue coordinates with respect to (1, sqrt(d)); Q gives (a, 0)."""
@@ -304,7 +315,9 @@ def _sum_factorial_series(
     # them, so each step multiplies the term by a short int
     ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
     c, s = _law(basis, v.d)
-    w2_t = int(2 * valuation(v, t))
+    w2_t = _residue_w2(v, t_c.a, t_c.b, mod)
+    if w2_t is None:
+        w2_t = int(2 * valuation(v, t))
     algebraic = not isinstance(p0, int)
     if algebraic:
         # the residue of P(n-1), stepped by the residue of p1
@@ -321,14 +334,23 @@ def _sum_factorial_series(
         return CertifiedValue(value, Fraction(w2, 2), n)
 
     for n in count(1) if n_max is None else range(1, n_max + 1):
-        factor = p0 + p1 * (n - 1)
-        if not factor:
-            # the factor product vanishes from here on: the tail is exactly 0
-            return certified(2 * n_target, n)
         if algebraic:
-            w2_prod += int(2 * valuation(v, factor))
-        elif factor % p == 0:
-            w2_prod += 2 * padic_ord_int(factor, p)
+            # w_v(P(n-1)) off its residue; P(n-1) itself is built only when
+            # the residue leaves w_v open, so the bound stays exact
+            w2 = _residue_w2(v, fa, fb, mod)
+            if w2 is None:
+                factor = p0 + p1 * (n - 1)
+                if not factor:
+                    return certified(2 * n_target, n)
+                w2 = int(2 * valuation(v, factor))
+            w2_prod += w2
+        else:
+            factor = p0 + p1 * (n - 1)
+            if not factor:
+                # the factor product vanishes from here on: the tail is exactly 0
+                return certified(2 * n_target, n)
+            if factor % p == 0:
+                w2_prod += 2 * padic_ord_int(factor, p)
         bound2 = w2_prod + n * w2_t
         if bound2 >= 2 * n_target:
             return certified(bound2, n)
@@ -342,7 +364,7 @@ def _sum_factorial_series(
         # the multiplier t*P(n-1) taking the term at n-1 to the one at n
         if algebraic:
             ma, mb = _pair_mul(ta, tb, fa, fb, c, s, mod)
-            fa, fb = fa + step.a, fb + step.b
+            fa, fb = (fa + step.a) % mod, (fb + step.b) % mod
         else:
             ma, mb = ta * factor, tb * factor
         if basis == _INT:

@@ -17,9 +17,11 @@ from eulerpade.errors import (
 )
 from eulerpade.numfield import QuadraticField
 from eulerpade.pade import pade_construct, remainder_at_unity, select_mu
-from eulerpade.padics import CompletionElement
+from eulerpade.padics import PRECISION_CAP, CompletionElement, euler_eval_certified
 from eulerpade.places import Place, factorial_valuation, places_above, valuation
+import eulerpade.certify as certify
 from eulerpade.certify import (
+    VERIFY_EXTRA_DIGITS,
     ValuationSetDescriptor,
     certificate_from_json,
     certify_nonvanishing,
@@ -487,3 +489,107 @@ def test_cofinite_exclusion_compares_whole_places():
     other = places_above(QuadraticField(2), 3)[0]
     assert str(other) == "inert@3"
     assert not excluded.excludes_place(other)
+
+
+def _exact_linear_form(lambdas, alphas, v, precision):
+    """The residue and tail of linear_form_value, from exact field sums:
+    lambda_0 + sum_j lambda_j * (sum_{n < terms} n! alpha_j^n), with the
+    terms and tail bound of each series and w_v(lambda_j) taken exactly."""
+    total, tail = lambdas[0], None
+    for lam, al in zip(lambdas[1:], alphas):
+        if not lam:
+            continue
+        cv = euler_eval_certified(v, al, precision)
+        partial, term = al * 0, al * 0 + 1
+        for n in range(cv.terms_used):
+            if n:
+                term = term * n * al
+            partial = partial + term
+        total = total + lam * partial
+        bound = cv.tail_valuation_bound + valuation(v, lam)
+        tail = bound if tail is None else min(tail, bound)
+    residue = CompletionElement.from_field_element(v, precision, total)
+    return residue, Fraction(precision) if tail is None else tail
+
+
+def test_linear_form_value_memo_matches_exact_sums(KQ, K5, Km1):
+    # warm memo, cleared memo and exact sums agree at every kind of place:
+    # both split places over 11 with the same points, inert@2 of Q(sqrt(5))
+    # (the omega basis), ramified@2 of Q(i) (d = 3 mod 4), a zero lambda,
+    # and lambdas whose residue is 0, valued exactly
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    i = Km1(0, 1)
+    forms = [
+        (K5, [K5(3), K5(1, 1), -K5(2)], [phi, phi.conjugate()], 11),
+        (K5, [K5(5), K5(0, -1), K5(0, 1)], [phi, phi.conjugate()], 2),
+        (K5, [K5(1), K5(2**9), K5(3)], [phi, K5(2)], 2),
+        (Km1, [Km1(1, 1), i, Km1(2)], [Km1(1, 1), i], 2),
+        (Km1, [Km1(0), Km1(0), Km1(1, 1)], [i, Km1(3)], 2),
+        (KQ, [KQ(4), KQ(0), KQ(-7)], [KQ(1), KQ(-1)], 3),
+        (KQ, [KQ(1), KQ(3**5)], [KQ(3)], 3),
+    ]
+    cases = [
+        (lambdas, alphas, v, precision)
+        for K, lambdas, alphas, p in forms
+        for v in places_above(K, p)
+        for precision in (1, 4, 8, 32)
+    ]
+    assert {v.splitting for _, _, v, _ in cases} == {
+        "split_1", "split_2", "inert", "ramified", "rational"}
+    expected = [_exact_linear_form(*case) for case in cases]
+    certify._series_value.cache_clear()
+    cold = [linear_form_value(*case) for case in cases]
+    assert certify._series_value.cache_info().hits > 0  # forms at inert@2 share phi
+    warm = [linear_form_value(*case) for case in cases]
+    assert cold == warm == expected
+
+
+def test_certificates_verify_after_the_memo_is_cleared():
+    certs = []
+    for a, b in [(1, 1), (-3, 4), (0, 7), (25, 25), (-25, 1)]:
+        K, lambdas, alphas = fibonacci_linear_form(a, b)
+        certs.append(certify_nonvanishing(K, lambdas, alphas, 2, 50))
+    certify._series_value.cache_clear()
+    for cert in certs:
+        assert cert.status == "nonzero"
+        assert verify_certificate(cert)
+        certify._series_value.cache_clear()
+        assert verify_certificate(certificate_from_json(cert.to_json()))
+
+
+def test_memo_stays_within_its_bound(KQ):
+    certify._series_value.cache_clear()
+    for k in range(1, 2001):
+        cert = certify_nonvanishing(KQ, [1, 1], [k], 2, 50)
+        assert cert.status == "nonzero"
+    info = certify._series_value.cache_info()
+    assert info.maxsize == certify.EVAL_MEMO_SIZE
+    assert info.misses > info.maxsize >= info.currsize
+
+
+@pytest.mark.parametrize("precision", ["4", 4.0, True, 0, -4, 10**6, PRECISION_CAP - 3])
+def test_certificate_with_a_bad_precision_is_refused(precision):
+    obj = _fib_record()
+    obj["precision"] = precision
+    with pytest.raises(ValueError, match="precision"):
+        certificate_from_json(obj)
+    cert = dataclasses.replace(certificate_from_json(_fib_record()), precision=precision)
+    assert verify_certificate(cert) is False
+
+
+def test_certificate_precision_limits():
+    obj = _fib_record()
+    obj["precision"] = PRECISION_CAP - VERIFY_EXTRA_DIGITS
+    assert certificate_from_json(obj).precision == PRECISION_CAP - VERIFY_EXTRA_DIGITS
+    # an undetermined record claims nothing: its precision is the ladder's cap
+    record = certify_nonvanishing(QuadraticField(), [1, 1], [1], 5, 3, n_max=PRECISION_CAP).to_json()
+    assert certificate_from_json(record).precision == PRECISION_CAP
+    record["precision"] = "64"
+    with pytest.raises(ValueError, match="precision"):
+        certificate_from_json(record)
+
+
+@pytest.mark.parametrize("place", [None, "inert@2", {"p": 2, "splitting": "inert"}])
+def test_certificate_built_with_a_bad_place_does_not_verify(place):
+    cert = certificate_from_json(_fib_record())
+    assert verify_certificate(dataclasses.replace(cert, place=place)) is False

@@ -88,7 +88,12 @@ def assert_matches(elem, ref):
     assert elem.denominator() == _denominator(x, y, d)
     assert elem.is_algebraic_integer() == _integral(x, y, d)
     assert elem == FieldElement(x, y, d)
-    assert hash(elem) == hash((x, y, None if y == 0 else d))
+    # equal values hash equal: a rational element hashes as its Fraction
+    # (and so as an int when it is one), whatever its field
+    assert hash(elem) == hash(FieldElement(x, y, d))
+    if y == 0:
+        assert hash(elem) == hash(x) == hash(FieldElement(x, 0, None))
+        assert elem in {x} and x in {elem}
     assert str(elem) == (str(x) if d is None or y == 0 else f"{x},{y}")
     assert repr(elem) == f"FieldElement({x}, {y}, d={d})"
     assert bool(elem) == ref.nonzero()
@@ -139,7 +144,7 @@ def test_ring_operations_match_reference(ops):
     ):
         assert_matches(result, ref)
     assert (a == b) == (b == a) == (ra.x == rb.x and ra.y == rb.y)
-    if a == b and isinstance(b, FieldElement):
+    if a == b:
         assert hash(a) == hash(b)
 
 

@@ -458,8 +458,9 @@ def test_genfact_refuses_when_every_factor_is_a_unit(K5, monkeypatch):
     (inert,) = places_above(K5, 2)
     with pytest.raises(NoConvergenceError, match="k < 2"):
         genfact_eval(inert, 3, 2, 1, 16, 10**6)
-    # with algebraic P = phi + 2x one exact valuation is taken for t and
-    # one for each factor summed: the refusal comes after two terms
+    # with algebraic P = phi + 2x the refusal comes after exactly two terms:
+    # a one-term limit is reached first, a two-term limit is not.  Every
+    # residue pins its valuation, so no exact valuation is taken
     calls = []
 
     def counted(v, a):
@@ -468,9 +469,51 @@ def test_genfact_refuses_when_every_factor_is_a_unit(K5, monkeypatch):
 
     monkeypatch.setattr(padics, "valuation", counted)
     phi = K5(Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(NoConvergenceError, match="unit"):
-        genfact_eval(inert, phi, K5(2), K5(1), 16, 10**6)
-    assert len(calls) == 3
+    with pytest.raises(NoConvergenceError, match="within 1 terms"):
+        genfact_eval(inert, phi, K5(2), K5(1), 16, 1)
+    for n_max in (2, 10**6):
+        with pytest.raises(NoConvergenceError, match="unit"):
+            genfact_eval(inert, phi, K5(2), K5(1), 16, n_max)
+    assert calls == []
+
+
+def _exact_stop(v, p0, p1, t, N):
+    """(terms, tail bound) of the factorial series with every factor valued
+    exactly: the first n with w([P]_n) + n w(t) >= N, or the first vanishing
+    factor with the tail N."""
+    w_t, w = valuation(v, t), 0
+    for n in count(1):
+        factor = p0 + p1 * (n - 1)
+        if not factor:
+            return n, N
+        w += valuation(v, factor)
+        if w + n * w_t >= N:
+            return n, w + n * w_t
+
+
+def test_genfact_tail_bounds_are_exact(K5, Km1):
+    # factors are valued off their residues, and exactly when a residue is
+    # 0: phi = 4 at split_1@11, so phi + 7 has residue 0 mod 11; the
+    # factor 2*sqrt(5) - 2*sqrt(5) is exactly 0
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    split, split_2 = places_above(K5, 11)
+    (inert,) = places_above(K5, 2)
+    (ramified,) = places_above(K5, 5)
+    (ramified_2,) = places_above(Km1, 2)
+    cases = [
+        (split, phi, K5(1), K5(3), 1),
+        (split, phi, K5(1), K5(1), 2),
+        (split_2, phi, K5(1), K5(11), 3),
+        (split, phi, K5(1), K5(3), 128),
+        (inert, phi, K5(2), K5(2), 5),
+        (ramified, K5(0, 1), K5(0, 1), K5(1), 3),
+        (ramified, K5(0, -2), K5(0, 1), K5(1), 40),
+        (ramified_2, Km1(0, 1), Km1(1), Km1(1, 1), 4),
+        (ramified_2, Km1(1, 1), Km1(2), Km1(1), 7),
+    ]
+    for v, p0, p1, t, N in cases:
+        cv = genfact_eval(v, p0, p1, t, N, 10**6)
+        assert (cv.terms_used, cv.tail_valuation_bound) == _exact_stop(v, p0, p1, t, N), (v, N)
 
 
 def test_genfact_refusal_iff_unit_factors(KQ, K5, Km1):
