@@ -566,12 +566,22 @@ def verify_certificate(cert: Certificate) -> bool:
     precision one that certificate_from_json accepts, and the valuation of
     the residue must reproduce exactly and still sit below the (now larger)
     tail bound.  Undetermined certificates claim nothing and verify
-    vacuously; any other status does not verify.
+    vacuously; any other status does not verify, and neither does a nonzero
+    certificate with a claim field missing or mistyped, or with lambdas and
+    alphas that are not tuples of m + 1 and m entries.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
     v = cert.place
-    if not (isinstance(v, Place) and _claimable_precision(cert.precision)):
+    if not (
+        isinstance(v, Place)
+        and _claimable_precision(cert.precision)
+        and isinstance(cert.partial_valuation, (int, Fraction))
+        and isinstance(cert.tail_valuation_bound, (int, Fraction))
+        and isinstance(cert.lambdas, tuple)
+        and isinstance(cert.alphas, tuple)
+        and len(cert.lambdas) == len(cert.alphas) + 1
+    ):
         return False
     if v not in places_above(QuadraticField(cert.field_d), v.p):
         return False

@@ -1,22 +1,31 @@
 """Command-line front end with JSON output.
 
 Grammar:
-    eulerpade <pade|eval|certify|bounds|limsup|fib|evenfact|residue> [options]
+    eulerpade <pade|eval|certify|bounds|limsup|fib|evenfact|residue|verify> [options]
 
 All numeric inputs are exact rational strings ("3", "-1/2", "1/2,1/2" for
-field elements) except --logH, which is a float.  Exit codes: 0 on
-success, 2 when a certificate search ends undetermined, 1 on input errors.
+field elements) except --logH, which is a float.  `verify [FILE|-]` reads
+one certificate record from FILE, or from stdin when FILE is "-" or
+omitted, and checks it:
+
+    eulerpade fib --a 1 --b 1 --json | eulerpade verify
+
+Exit codes: 0 on success, 2 when a certificate search ends undetermined, 1
+on input errors and on a certificate that does not verify.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from pathlib import Path
 
 from .arith import is_prime
 from .certify import (
     ValuationSetDescriptor,
+    certificate_from_json,
     certify_nonvanishing,
     constants_c1_c2,
     even_factorial_linear_form,
@@ -25,6 +34,7 @@ from .certify import (
     monotone_decrease_onset,
     residue_condition,
     effective_bounds,
+    verify_certificate,
 )
 from .errors import EulerPadeError, InvalidPrimeError, PrecisionCapError
 from .numfield import QuadraticField
@@ -174,6 +184,34 @@ def _cmd_residue(args) -> int:
     return 0
 
 
+def _cmd_verify(args) -> int:
+    try:
+        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"a certificate record is a JSON object, not {type(record).__name__}")
+    try:
+        cert = certificate_from_json(record)
+    except KeyError as exc:
+        raise ValueError(f"the certificate record has no key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed certificate record: {exc}") from None
+    if not verify_certificate(cert):
+        raise ValueError("the certificate does not verify")
+    if cert.status == "nonzero":
+        human = f"verified: nonzero at {cert.place} (precision {cert.precision})"
+    else:
+        human = "verified: undetermined, the record claims nothing"
+    place = None if cert.place is None else cert.place.to_json()
+    _emit(args, {"verified": True, "status": cert.status, "place": place}, human)
+    return 0
+
+
 def _add_common(p, field=True):
     if field:
         p.add_argument("--field", type=int, default=None, help="squarefree d of Q(sqrt(d)); omit for Q")
@@ -248,12 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, field=False)
     p.set_defaults(func=_cmd_residue)
 
+    p = sub.add_parser("verify", help="check a certificate record that certify, fib or evenfact printed")
+    p.add_argument("file", nargs="?", default="-", help='JSON record; "-" or omitted reads stdin')
+    _add_common(p, field=False)
+    p.set_defaults(func=_cmd_verify)
+
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: parse_args leaves a
+    parser unchanged and returns a fresh Namespace, so one serves them all."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EulerPadeError, ValueError, ZeroDivisionError) as exc:

@@ -593,3 +593,21 @@ def test_certificate_precision_limits():
 def test_certificate_built_with_a_bad_place_does_not_verify(place):
     cert = certificate_from_json(_fib_record())
     assert verify_certificate(dataclasses.replace(cert, place=place)) is False
+
+
+_BAD_CLAIMS = {
+    "no tail bound": lambda cert: {"tail_valuation_bound": None},
+    "no partial valuation": lambda cert: {"partial_valuation": None},
+    "no lambdas": lambda cert: {"lambdas": None},
+    "no alphas": lambda cert: {"alphas": None},
+    "partial valuation as a string": lambda cert: {"partial_valuation": "1"},
+    "extra lambda": lambda cert: {"lambdas": cert.lambdas + (cert.lambdas[0],)},
+    "extra alpha": lambda cert: {"alphas": cert.alphas + (3 * cert.alphas[0],)},
+}
+
+
+@pytest.mark.parametrize("bad_claim", _BAD_CLAIMS.values(), ids=_BAD_CLAIMS.keys())
+def test_certificate_built_with_a_bad_claim_does_not_verify(bad_claim):
+    cert = certificate_from_json(_fib_record())
+    assert verify_certificate(cert)
+    assert verify_certificate(dataclasses.replace(cert, **bad_claim(cert))) is False

@@ -1,9 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eulerpade
+from eulerpade import cli
 from eulerpade.certify import (
     ValuationSetDescriptor,
     certificate_from_json,
@@ -240,3 +247,188 @@ def test_limsup_exclude_p(capsys):
 def test_limsup_exclude_p_refuses_a_non_prime(capsys, excluded):
     code, out, _ = run_cli(capsys, ["limsup", "--alphas", "1", "--exclude-p", excluded])
     assert code == 1 and out == ""
+
+
+# --- one parser per process -------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for _ in range(5):
+            assert main(["residue", "--n", "4", "--r", "2", "--m", "1"]) == 0
+            assert main(["eval", "--p", "2", "--alpha", "1", "--prec", "2", "--json"]) == 0
+            with pytest.raises(SystemExit):
+                main(["residue", "--n", "4"])
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_json_flag_does_not_carry_over(capsys):
+    argv = ["residue", "--n", "4", "--r", "2", "--m", "1"]
+    _, as_json, _ = run_cli(capsys, argv + ["--json"])
+    _, human, _ = run_cli(capsys, argv)
+    assert json.loads(as_json)["ok"] is True
+    assert human.startswith("r = 2 classes mod 4")
+
+
+def test_field_does_not_carry_over(capsys):
+    code, out, _ = run_cli(capsys, ["eval", "--p", "11", "--alpha", "1/2,1/2", "--field", "5", "--json"])
+    assert code == 0 and len(json.loads(out)["values"]) == 2
+    code, out, _ = run_cli(capsys, ["eval", "--p", "11", "--alpha", "1", "--json"])
+    assert code == 0
+    assert [v["place"] for v in json.loads(out)["values"]] == ["rational"]
+    code, _, err = run_cli(capsys, ["eval", "--p", "11", "--alpha", "1,1"])
+    assert code == 1 and "no sqrt coordinate" in err
+
+
+def test_single_prime_does_not_carry_over(capsys):
+    form = ["certify", "--lambdas", "1;1", "--alphas", "1", "--json"]
+    for p, scanned_from in [(3, 2), (2, 3)]:
+        code, out, _ = run_cli(capsys, form + ["--p", str(p)])
+        assert code == 0 and json.loads(out)["prime"] == p
+        code, out, _ = run_cli(capsys, form + ["--pmin", str(scanned_from)])
+        assert code == 0 and json.loads(out)["prime"] == scanned_from
+    code, out, _ = run_cli(capsys, form)
+    assert code == 0 and json.loads(out)["prime"] == 2
+
+
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(capsys):
+    argv = ["fib", "--a", "2", "--b", "3", "--pmax", "20"]
+    env = {**os.environ, "PYTHONPATH": str(Path(eulerpade.__file__).resolve().parent.parent)}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "eulerpade.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    assert fresh.returncode == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fib", "--a", "2", "--pmax", "20"])  # missing --b
+    assert exc.value.code == 1
+    assert run_cli(capsys, argv)[:2] == (0, fresh.stdout)
+
+
+# --- verify -------------------------------------------------------------------
+
+
+def verify_text(capsys, monkeypatch, text, *flags):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run_cli(capsys, ["verify", *flags])
+
+
+CERTIFICATE_LINES = [
+    ["certify", "--lambdas", "0;-1", "--alphas", "1", "--p", "2"],
+    ["certify", "--lambdas", "1;1", "--alphas", "1", "--pmin", "3"],
+    ["certify", "--lambdas", "1;1;-1", "--alphas", "1/2,1/2;1/2,-1/2", "--field", "5"],
+    ["certify", "--lambdas", "1;1", "--alphas", "1", "--pmin", "5", "--pmax", "3"],
+    ["fib", "--a", "1", "--b", "1"],
+    ["fib", "--a", "-3", "--b", "4", "--pmax", "20"],
+    ["fib", "--a", "25", "--b", "25", "--p", "2"],
+    ["evenfact", "--a", "1", "--b", "2"],
+    ["evenfact", "--a", "3", "--b", "5"],
+    ["evenfact", "--a", "-7", "--b", "3", "--pmin", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", CERTIFICATE_LINES, ids=" ".join)
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_verify_accepts_what_the_certificate_commands_print(capsys, monkeypatch, tmp_path, argv, source):
+    code, record, _ = run_cli(capsys, argv + ["--json"])
+    assert code in (0, 2)
+    status = json.loads(record)["status"]
+    if source == "stdin":
+        code, out, err = verify_text(capsys, monkeypatch, record)
+    else:
+        path = tmp_path / "certificate.json"
+        path.write_text(record)
+        code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert (code, err) == (0, "")
+    claim = "claims nothing" if status == "undetermined" else "nonzero at"
+    assert out.startswith("verified: ") and claim in out
+    code, out, _ = verify_text(capsys, monkeypatch, record, "-", "--json")
+    assert code == 0
+    assert json.loads(out) == {"verified": True, "status": status, "place": json.loads(record)["place"]}
+
+
+def _fib_record(capsys):
+    code, out, _ = run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--json"])
+    assert code == 0
+    return json.loads(out)
+
+
+def _edit(key, value):
+    def edit(record):
+        record[key] = value
+    return edit
+
+
+def _edit_place(key, value):
+    def edit(record):
+        record["place"][key] = value
+    return edit
+
+
+def _append(key, value):
+    def edit(record):
+        record[key].append(value)
+    return edit
+
+
+def _remove(key):
+    def edit(record):
+        del record[key]
+    return edit
+
+
+FORGERIES = {
+    "place ramified@2": _edit_place("splitting", "ramified"),
+    "place xyz@2": _edit_place("splitting", "xyz"),
+    "composite prime": _edit_place("p", 4),
+    "place without p": lambda record: record["place"].pop("p"),
+    "place as a string": _edit("place", "inert@2"),
+    "extra lambda": _append("lambdas", "7"),
+    "extra alpha": _append("alphas", "3"),
+    "int lambda": _edit("lambdas", [5, -1, -1]),
+    "status bogus": _edit("status", "bogus"),
+    "null place": _edit("place", None),
+    "null precision": _edit("precision", None),
+    "null partial valuation": _edit("partial_valuation", None),
+    "null tail bound": _edit("tail_valuation_bound", None),
+    "precision as a string": _edit("precision", "4"),
+    "precision 0": _edit("precision", 0),
+    "precision past the cap": _edit("precision", 10**6),
+    "wrong partial valuation": _edit("partial_valuation", "2"),
+    "tail bound overstated": _edit("tail_valuation_bound", "1000"),
+    "other target": _edit("lambdas", ["10", "-1/2,1/2", "1/2,1/2"]),
+    "no status": _remove("status"),
+    "no lambdas": _remove("lambdas"),
+    "no place": _remove("place"),
+}
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
+def test_verify_refuses_a_forged_record(capsys, monkeypatch, forge):
+    record = _fib_record(capsys)
+    forge(record)
+    code, out, err = verify_text(capsys, monkeypatch, json.dumps(record))
+    assert (code, out) == (1, "")
+    assert err.startswith("eulerpade: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "{", "not json", "[]", "3", '"record"', "null"])
+def test_verify_refuses_what_is_not_a_record(capsys, monkeypatch, text):
+    code, out, err = verify_text(capsys, monkeypatch, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("eulerpade: error: ")
+
+
+def test_verify_refuses_a_missing_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["verify", str(tmp_path / "absent.json")])
+    assert (code, out) == (1, "")
+    assert "cannot read" in err
