@@ -356,65 +356,35 @@ def test_verify_accepts_what_the_certificate_commands_print(capsys, monkeypatch,
     assert json.loads(out) == {"verified": True, "status": status, "place": json.loads(record)["place"]}
 
 
-def _fib_record(capsys):
-    code, out, _ = run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--json"])
-    assert code == 0
-    return json.loads(out)
-
-
-def _edit(key, value):
-    def edit(record):
-        record[key] = value
-    return edit
-
-
-def _edit_place(key, value):
-    def edit(record):
-        record["place"][key] = value
-    return edit
-
-
-def _append(key, value):
-    def edit(record):
-        record[key].append(value)
-    return edit
-
-
-def _remove(key):
-    def edit(record):
-        del record[key]
-    return edit
-
-
 FORGERIES = {
-    "place ramified@2": _edit_place("splitting", "ramified"),
-    "place xyz@2": _edit_place("splitting", "xyz"),
-    "composite prime": _edit_place("p", 4),
+    "place ramified@2": lambda record: record["place"].update(splitting="ramified"),
+    "place xyz@2": lambda record: record["place"].update(splitting="xyz"),
+    "composite prime": lambda record: record["place"].update(p=4),
     "place without p": lambda record: record["place"].pop("p"),
-    "place as a string": _edit("place", "inert@2"),
-    "extra lambda": _append("lambdas", "7"),
-    "extra alpha": _append("alphas", "3"),
-    "int lambda": _edit("lambdas", [5, -1, -1]),
-    "status bogus": _edit("status", "bogus"),
-    "null place": _edit("place", None),
-    "null precision": _edit("precision", None),
-    "null partial valuation": _edit("partial_valuation", None),
-    "null tail bound": _edit("tail_valuation_bound", None),
-    "precision as a string": _edit("precision", "4"),
-    "precision 0": _edit("precision", 0),
-    "precision past the cap": _edit("precision", 10**6),
-    "wrong partial valuation": _edit("partial_valuation", "2"),
-    "tail bound overstated": _edit("tail_valuation_bound", "1000"),
-    "other target": _edit("lambdas", ["10", "-1/2,1/2", "1/2,1/2"]),
-    "no status": _remove("status"),
-    "no lambdas": _remove("lambdas"),
-    "no place": _remove("place"),
+    "place as a string": lambda record: record.update(place="inert@2"),
+    "extra lambda": lambda record: record["lambdas"].append("7"),
+    "extra alpha": lambda record: record["alphas"].append("3"),
+    "int lambda": lambda record: record.update(lambdas=[5, -1, -1]),
+    "status bogus": lambda record: record.update(status="bogus"),
+    "null place": lambda record: record.update(place=None),
+    "null precision": lambda record: record.update(precision=None),
+    "null partial valuation": lambda record: record.update(partial_valuation=None),
+    "null tail bound": lambda record: record.update(tail_valuation_bound=None),
+    "precision as a string": lambda record: record.update(precision="4"),
+    "precision 0": lambda record: record.update(precision=0),
+    "precision past the cap": lambda record: record.update(precision=10**6),
+    "wrong partial valuation": lambda record: record.update(partial_valuation="2"),
+    "tail bound overstated": lambda record: record.update(tail_valuation_bound="1000"),
+    "other target": lambda record: record.update(lambdas=["10", "-1/2,1/2", "1/2,1/2"]),
+    "no status": lambda record: record.pop("status"),
+    "no lambdas": lambda record: record.pop("lambdas"),
+    "no place": lambda record: record.pop("place"),
 }
 
 
 @pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
 def test_verify_refuses_a_forged_record(capsys, monkeypatch, forge):
-    record = _fib_record(capsys)
+    record = json.loads(run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--json"])[1])
     forge(record)
     code, out, err = verify_text(capsys, monkeypatch, json.dumps(record))
     assert (code, out) == (1, "")
