@@ -43,7 +43,6 @@ from .numfield import (
 from .padics import (
     PRECISION_CAP,
     CompletionElement,
-    _basis_for,
     _law,
     _pair_mul,
     _residue,
@@ -432,11 +431,21 @@ def _claimable_precision(precision) -> bool:
     return type(precision) is int and 1 <= precision <= PRECISION_CAP - VERIFY_EXTRA_DIGITS
 
 
+def _string_list(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return value
+
+
 def certificate_from_json(obj: dict) -> Certificate:
-    """Read back a to_json() record, refusing an unknown status, a count of
-    lambdas other than m + 1, a place that places_above(K, p) does not list,
-    a precision that is not an int, and a nonzero claim with a gap or with a
-    precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
+    """Read back a to_json() record, refusing an unknown status, a field_d
+    that is neither null nor an int, lambdas or alphas that are not lists of
+    strings, a count of lambdas other than m + 1, a place whose p is not an
+    int, a place that places_above(K, p) does not list or whose e and f are
+    not that place's, a prime other than the place's p (null without a
+    place), a precision that is not an int, and a nonzero claim with a gap
+    or with a precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
     status = obj["status"]
     if status not in ("nonzero", "undetermined"):
         raise ValueError(f"unknown certificate status {status!r}")
@@ -451,15 +460,29 @@ def certificate_from_json(obj: dict) -> Certificate:
         raise ValueError(
             f"precision {precision} is outside 1..{PRECISION_CAP - VERIFY_EXTRA_DIGITS}"
         )
-    K = QuadraticField(obj["field_d"])
-    alphas = tuple(K.parse(s) for s in obj["alphas"])
-    lambdas = _validated_lambdas([K.parse(s) for s in obj["lambdas"]], len(alphas), K.d)
-    place = None
+    field_d = obj["field_d"]
+    if field_d is not None and type(field_d) is not int:
+        raise ValueError(f"field_d must be null or an int, got {field_d!r}")
+    K = QuadraticField(field_d)
+    alphas = tuple(K.parse(s) for s in _string_list(obj, "alphas"))
+    lambdas = [K.parse(s) for s in _string_list(obj, "lambdas")]
+    lambdas = _validated_lambdas(lambdas, len(alphas), K.d)
+    place, p = None, None
     if obj["place"] is not None:
         p, splitting = obj["place"]["p"], obj["place"]["splitting"]
+        if type(p) is not int:
+            raise ValueError(f"the place's p must be an int, got {p!r}")
         place = next((v for v in places_above(K, p) if v.splitting == splitting), None)
         if place is None:
             raise ValueError(f"{K} has no place {splitting}@{p}")
+        for key in ("e", "f"):
+            got, want = obj["place"][key], getattr(place, key)
+            if type(got) is not int or got != want:
+                raise ValueError(f"the place's {key} must be {want}, got {got!r}")
+    prime = obj["prime"]
+    if type(prime) is not type(p) or prime != p:
+        want = "null without a place" if p is None else f"the place's p, {p}"
+        raise ValueError(f"prime must be {want}, got {prime!r}")
     return Certificate(
         K.d,
         lambdas,
@@ -497,7 +520,7 @@ def linear_form_value(
     when the residue leaves it open.
     """
     mod = v.p**precision
-    c, s = _law(_basis_for(v), v.d)
+    c, s = _law(v)
     acc_a, acc_b = _residue(v, precision, lambdas[0])
     tail2 = None
     for lam, al in zip(lambdas[1:], alphas):

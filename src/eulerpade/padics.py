@@ -9,9 +9,10 @@ of integers.  At the places where the local ring is Z_p[sqrt(d)] the pair
 where sqrt(d)-coordinates of integral elements can carry denominator 2, so
 the pair is kept in the basis (1, (1+sqrt(d))/2) internally and converted
 back to sqrt(d)-coordinates (then possibly half-integral) for output.  Every
-residue is read off the element's integral form (A + B*sqrt(d))/c.  One
-pair law, x^2 = c + s*x, multiplies in every basis; int residues are pairs
-(a, 0).
+residue is read off the element's integral form (A + B*sqrt(d))/c.
+_pair_mul, under x^2 = c + s*x with (c, s) from _law(place), is the one
+residue law in every basis; int residues are pairs (a, 0).  A
+CompletionElement is a value record that does no arithmetic.
 
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
@@ -75,10 +76,12 @@ def _basis_for(place: Place) -> str:
     return _SQRT
 
 
-def _law(basis: str, d: int | None) -> tuple[int, int]:
-    """(c, s) with x^2 = c + s*x: x = sqrt(d) has (d, 0), omega = (1 + sqrt(d))/2
-    has ((d - 1)/4, 1); int residues keep b = 0, so their law never acts."""
-    return ((d - 1) // 4, 1) if basis == _OMEGA else (d or 0, 0)
+def _law(place: Place) -> tuple[int, int]:
+    """(c, s) with x^2 = c + s*x in the place's basis: x = sqrt(d) has (d, 0),
+    omega = (1 + sqrt(d))/2 has ((d - 1)/4, 1); int residues keep b = 0, so
+    their law never acts."""
+    d = place.d
+    return ((d - 1) // 4, 1) if _basis_for(place) == _OMEGA else (d or 0, 0)
 
 
 def _pair_mul(a1: int, b1: int, a2: int, b2: int, c: int, s: int, mod: int) -> tuple[int, int]:
@@ -139,8 +142,9 @@ def _residue_w2(place: Place, a: int, b: int, mod: int) -> int | None:
 
 @dataclass(frozen=True)
 class CompletionElement:
-    """A residue mod p^N in the valuation ring at a place; the place fixes
-    the basis of the pair (a, b)."""
+    """A residue mod p^N in the valuation ring at a place, as a value
+    record; the place fixes the basis of the pair (a, b).  It defines no
+    arithmetic: residues are combined as int pairs with _pair_mul."""
 
     place: Place
     n: int
@@ -163,45 +167,6 @@ class CompletionElement:
     def from_field_element(cls, place: Place, n: int, value) -> CompletionElement:
         """Reduce an exact element with w_v >= 0 to its residue mod p^N."""
         return cls(place, n, *_residue(place, n, value))
-
-    def _compat(self, other: CompletionElement) -> None:
-        if self.place != other.place or self.n != other.n:
-            raise ValueError("mismatched place or precision")
-
-    def _wrap(self, a: int, b: int) -> CompletionElement:
-        mod = self.modulus
-        return CompletionElement(self.place, self.n, a % mod, b % mod)
-
-    def __add__(self, other) -> CompletionElement:
-        other = self._lift(other)
-        self._compat(other)
-        return self._wrap(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other) -> CompletionElement:
-        other = self._lift(other)
-        self._compat(other)
-        return self._wrap(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> CompletionElement:
-        return self._wrap(-self.a, -self.b)
-
-    def _lift(self, other) -> CompletionElement:
-        if isinstance(other, CompletionElement):
-            return other
-        if isinstance(other, int):
-            return CompletionElement(self.place, self.n, other % self.modulus)
-        if isinstance(other, (Fraction, FieldElement)):
-            return CompletionElement.from_field_element(self.place, self.n, other)
-        raise TypeError(f"cannot combine CompletionElement with {type(other)!r}")
-
-    def __mul__(self, other) -> CompletionElement:
-        other = self._lift(other)
-        self._compat(other)
-        c, s = _law(self.basis, self.place.d)
-        a, b = _pair_mul(self.a, self.b, other.a, other.b, c, s, self.modulus)
-        return CompletionElement(self.place, self.n, a, b)
-
-    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -314,7 +279,7 @@ def _sum_factorial_series(
     # t's residue with signed coordinates: a t with small coordinates keeps
     # them, so each step multiplies the term by a short int
     ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
-    c, s = _law(basis, v.d)
+    c, s = _law(v)
     w2_t = _residue_w2(v, t_c.a, t_c.b, mod)
     if w2_t is None:
         w2_t = int(2 * valuation(v, t))

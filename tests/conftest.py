@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eulerpade.numfield import FieldElement, QuadraticField
+from eulerpade.padics import CompletionElement
 
 
 @pytest.fixture
@@ -41,3 +42,26 @@ def random_integral_element(rng: random.Random, K: QuadraticField, lo=-50, hi=50
         if elem:
             assert elem.is_algebraic_integer()
             return elem
+
+
+def residue_add(x: CompletionElement, y: CompletionElement, sign: int = 1) -> CompletionElement:
+    """x + sign*y for two residues at one place and precision."""
+    assert (x.place, x.n) == (y.place, y.n)
+    mod = x.modulus
+    return CompletionElement(x.place, x.n, (x.a + sign * y.a) % mod, (x.b + sign * y.b) % mod)
+
+
+def residue_mul(x: CompletionElement, y) -> CompletionElement:
+    """x*y for two residues at one place and precision; y may be an int.
+
+    The law x^2 = c + s*x of the basis is written out here from x.basis, not
+    taken from padics, so the tests that use it check the library's law."""
+    if isinstance(y, int):
+        y = CompletionElement(x.place, x.n, y % x.modulus)
+    assert (x.place, x.n) == (y.place, y.n)
+    d, mod = x.place.d, x.modulus
+    c, s = ((d - 1) // 4, 1) if x.basis == "omega" else (d or 0, 0)
+    bb = x.b * y.b
+    return CompletionElement(
+        x.place, x.n, (x.a * y.a + c * bb) % mod, (x.a * y.b + x.b * y.a + s * bb) % mod
+    )

@@ -40,7 +40,7 @@ from eulerpade.certify import (
     z_inverse,
 )
 
-from conftest import random_integral_element
+from conftest import random_integral_element, residue_add, residue_mul
 
 
 V_ALL = ValuationSetDescriptor.all_places()
@@ -389,13 +389,49 @@ def test_linear_form_identity_with_pade(KQ, K5):
             precision = 8
             lam_value, _ = linear_form_value(lambdas, alphas, v, precision)
             b0 = CompletionElement.from_field_element(v, precision, system.B[0](1))
-            lhs = b0 * lam_value
+            lhs = residue_mul(b0, lam_value)
             rhs = CompletionElement.from_field_element(v, precision, w)
             for j in range(1, len(alphas) + 1):
                 s_j = remainder_at_unity(system, v, j, precision)
                 lam_c = CompletionElement.from_field_element(v, precision, lambdas[j])
-                rhs = rhs + lam_c * s_j
+                rhs = residue_add(rhs, residue_mul(lam_c, s_j))
             assert lhs == rhs
+
+
+def test_remainder_at_unity_is_a_linear_form_at_every_kind_of_place():
+    # s_j = B_0(1) F_v(alpha_j) - B_j(1) is the form (-B_j(1), B_0(1)) at
+    # alpha_j: ramified places over 2 with d = 3 and 2 mod 4, both split
+    # places over 2 of Q(sqrt(17)), inert@2 of Q(sqrt(5)) (the omega basis),
+    # and places of Q and of the same fields over odd primes
+    half = Fraction(1, 2)
+    cases = [
+        (None, (1, -2), (2, 3)),
+        (-1, (1, 1), (2, 3)),
+        (2, (1, 1), (2, 7)),
+        (17, (half, half), (2, 13)),
+        (5, (half, half), (2, 5)),
+    ]
+    checked = 0
+    for d, (x, y), primes in cases:
+        K = QuadraticField(d)
+        points = [K(x), K(y)] if d is None else [K(x, y), K(x, -y)]
+        places = [v for p in primes for v in places_above(K, p)]
+        for m in (1, 2):
+            for l in (1, 2):
+                for mu in range(m + 1):
+                    system = pade_construct(m, l, mu, points[:m])
+                    for v in places:
+                        for j in range(1, m + 1):
+                            for precision in (1, 6):
+                                lambdas = (-system.B[j](1), system.B[0](1))
+                                alpha = (system.alpha[j - 1],)
+                                form, _ = linear_form_value(lambdas, alpha, v, precision)
+                                assert remainder_at_unity(system, v, j, precision) == form
+                                checked += 1
+    assert checked == 416
+    kinds = {(v.p, v.splitting) for d, _, primes in cases for p in primes
+             for v in places_above(QuadraticField(d), p)}
+    assert {(2, "ramified"), (2, "split_1"), (2, "split_2"), (2, "inert")} <= kinds
 
 
 def test_descriptor_validation():
@@ -444,6 +480,38 @@ def test_certificate_record_with_a_composite_prime_is_refused():
     obj = _fib_record()
     obj["place"]["p"] = 4
     with pytest.raises(InvalidPrimeError):
+        certificate_from_json(obj)
+
+
+def _certify_record(p_min=2, p_max=50):
+    return certify_nonvanishing(QuadraticField(), [1, 1], [1], p_min, p_max).to_json()
+
+
+@pytest.mark.parametrize(
+    "record, forge, field",
+    [
+        (_fib_record, lambda obj: obj.update(prime=97), "prime"),
+        (_fib_record, lambda obj: obj.update(prime=[1]), "prime"),
+        (_fib_record, lambda obj: obj.update(prime="x"), "prime"),
+        (_fib_record, lambda obj: obj.update(prime=2.0), "prime"),
+        (lambda: _certify_record(5, 3), lambda obj: obj.update(prime=2), "prime"),
+        (_fib_record, lambda obj: obj["place"].update(p="2"), "place's p"),
+        (_fib_record, lambda obj: obj["place"].update(e=7), "place's e"),
+        (_fib_record, lambda obj: obj["place"].update(f=9), "place's f"),
+        (_fib_record, lambda obj: obj["place"].update(f=True), "place's f"),
+        (_certify_record, lambda obj: obj.update(lambdas="11"), "lambdas"),
+        (_certify_record, lambda obj: obj.update(alphas="1"), "alphas"),
+        (_fib_record, lambda obj: obj.update(lambdas=[5, 0, 0]), "lambdas"),
+        (_fib_record, lambda obj: obj.update(field_d="5"), "field_d"),
+        (_certify_record, lambda obj: obj.update(field_d=True), "field_d"),
+    ],
+)
+def test_certificate_record_with_a_mistyped_or_inconsistent_field_is_refused(record, forge, field):
+    # a verifying record with one field forged is refused, naming the field
+    obj = record()
+    assert verify_certificate(certificate_from_json(obj))
+    forge(obj)
+    with pytest.raises(ValueError, match=field):
         certificate_from_json(obj)
 
 

@@ -356,35 +356,52 @@ def test_verify_accepts_what_the_certificate_commands_print(capsys, monkeypatch,
     assert json.loads(out) == {"verified": True, "status": status, "place": json.loads(record)["place"]}
 
 
+FIB = ("fib", "--a", "1", "--b", "1")
+CERTIFY = ("certify", "--lambdas", "1;1", "--alphas", "1")
+UNDETERMINED = (*CERTIFY, "--pmin", "5", "--pmax", "3")
+
+#: a command line and an edit of the record it prints
 FORGERIES = {
-    "place ramified@2": lambda record: record["place"].update(splitting="ramified"),
-    "place xyz@2": lambda record: record["place"].update(splitting="xyz"),
-    "composite prime": lambda record: record["place"].update(p=4),
-    "place without p": lambda record: record["place"].pop("p"),
-    "place as a string": lambda record: record.update(place="inert@2"),
-    "extra lambda": lambda record: record["lambdas"].append("7"),
-    "extra alpha": lambda record: record["alphas"].append("3"),
-    "int lambda": lambda record: record.update(lambdas=[5, -1, -1]),
-    "status bogus": lambda record: record.update(status="bogus"),
-    "null place": lambda record: record.update(place=None),
-    "null precision": lambda record: record.update(precision=None),
-    "null partial valuation": lambda record: record.update(partial_valuation=None),
-    "null tail bound": lambda record: record.update(tail_valuation_bound=None),
-    "precision as a string": lambda record: record.update(precision="4"),
-    "precision 0": lambda record: record.update(precision=0),
-    "precision past the cap": lambda record: record.update(precision=10**6),
-    "wrong partial valuation": lambda record: record.update(partial_valuation="2"),
-    "tail bound overstated": lambda record: record.update(tail_valuation_bound="1000"),
-    "other target": lambda record: record.update(lambdas=["10", "-1/2,1/2", "1/2,1/2"]),
-    "no status": lambda record: record.pop("status"),
-    "no lambdas": lambda record: record.pop("lambdas"),
-    "no place": lambda record: record.pop("place"),
+    "place ramified@2": (FIB, lambda record: record["place"].update(splitting="ramified")),
+    "place xyz@2": (FIB, lambda record: record["place"].update(splitting="xyz")),
+    "composite prime": (FIB, lambda record: record["place"].update(p=4)),
+    "place without p": (FIB, lambda record: record["place"].pop("p")),
+    "place as a string": (FIB, lambda record: record.update(place="inert@2")),
+    "extra lambda": (FIB, lambda record: record["lambdas"].append("7")),
+    "extra alpha": (FIB, lambda record: record["alphas"].append("3")),
+    "int lambda": (FIB, lambda record: record.update(lambdas=[5, -1, -1])),
+    "status bogus": (FIB, lambda record: record.update(status="bogus")),
+    "null place": (FIB, lambda record: record.update(place=None)),
+    "null precision": (FIB, lambda record: record.update(precision=None)),
+    "null partial valuation": (FIB, lambda record: record.update(partial_valuation=None)),
+    "null tail bound": (FIB, lambda record: record.update(tail_valuation_bound=None)),
+    "precision as a string": (FIB, lambda record: record.update(precision="4")),
+    "precision 0": (FIB, lambda record: record.update(precision=0)),
+    "precision past the cap": (FIB, lambda record: record.update(precision=10**6)),
+    "wrong partial valuation": (FIB, lambda record: record.update(partial_valuation="2")),
+    "tail bound overstated": (FIB, lambda record: record.update(tail_valuation_bound="1000")),
+    "other target": (FIB, lambda record: record.update(lambdas=["10", "-1/2,1/2", "1/2,1/2"])),
+    "no status": (FIB, lambda record: record.pop("status")),
+    "no lambdas": (FIB, lambda record: record.pop("lambdas")),
+    "no place": (FIB, lambda record: record.pop("place")),
+    "prime 97": (FIB, lambda record: record.update(prime=97)),
+    "prime as a list": (FIB, lambda record: record.update(prime=[1])),
+    "prime as a string": (FIB, lambda record: record.update(prime="x")),
+    "prime as a float": (FIB, lambda record: record.update(prime=2.0)),
+    "prime without a place": (UNDETERMINED, lambda record: record.update(prime=2)),
+    "place p as a string": (FIB, lambda record: record["place"].update(p="2")),
+    "place e and f": (FIB, lambda record: record["place"].update(e=7, f=9)),
+    "place f": (FIB, lambda record: record["place"].update(f=1)),
+    "lambdas as a string": (CERTIFY, lambda record: record.update(lambdas="11")),
+    "alphas as a string": (CERTIFY, lambda record: record.update(alphas="1")),
+    "field_d as a string": (FIB, lambda record: record.update(field_d="5")),
+    "field_d true": (CERTIFY, lambda record: record.update(field_d=True)),
 }
 
 
-@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
-def test_verify_refuses_a_forged_record(capsys, monkeypatch, forge):
-    record = json.loads(run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--json"])[1])
+@pytest.mark.parametrize("argv, forge", FORGERIES.values(), ids=FORGERIES.keys())
+def test_verify_refuses_a_forged_record(capsys, monkeypatch, argv, forge):
+    record = json.loads(run_cli(capsys, [*argv, "--json"])[1])
     forge(record)
     code, out, err = verify_text(capsys, monkeypatch, json.dumps(record))
     assert (code, out) == (1, "")
