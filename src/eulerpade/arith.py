@@ -7,7 +7,9 @@ embedding quadratic irrationals into Z_p).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotSplitError
 
@@ -54,9 +56,16 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+@lru_cache(maxsize=8)
+def _primes_to(hi: int) -> tuple[int, ...]:
+    """primes_upto(hi), kept for the last few bounds."""
+    return tuple(primes_upto(hi))
+
+
 def prime_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in primes_upto(hi) if p >= lo]
+    """Primes p with lo <= p <= hi, as a fresh list sliced from the sieve to hi."""
+    primes = _primes_to(hi)
+    return list(primes[bisect_left(primes, lo) :])
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -17,6 +17,11 @@ series C_0(t) G(beta_j t).  Euler's series is the case P(x) = 1 + x, where
 algebraic-integer coefficients; the determinant of the (m+1) x (m+1)
 matrix of the B's collapses to a single monomial whose coefficient has a
 closed form, which is what guarantees a usable mu.
+
+All of it runs on int numerators over one denominator per polynomial (see
+polys): the product series scales the denominators of P and of the point
+once, the order check compares numerators, and the determinant's exact
+divisions are int pseudo-divisions by the norm of the divisor's lead.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatc
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
 from .padics import CompletionElement, _law, _pair_mul, _residue, euler_eval_certified
 from .places import Place
-from .polys import Poly
+from .polys import Poly, _pair_product, _poly
 
 
 def _common_field(elems) -> int | None:
@@ -161,11 +166,13 @@ class PadeSystem:
         orders = []
         for j, (point, lj) in enumerate(zip(self.alpha, self.l_vec), start=1):
             series = _product_series(self.B[0], self.p0, self.p1, point, cutoff + 1)
-            for n in range(start, start + lj):
-                if series[n]:
+            A, B, _ = series.integral_form()
+            for n in range(start, min(start + lj, len(A))):
+                if A[n] or B[n]:
                     raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
-            column = self.B[j]
-            orders.append(next((n for n, c in enumerate(series) if c != column[n]), cutoff))
+            A, B, _ = (series - self.B[j]).integral_form()
+            first = (n for n, pair in enumerate(zip(A[:cutoff], B)) if any(pair))
+            orders.append(next(first, cutoff))
         return orders
 
     def to_json(self) -> dict:
@@ -178,22 +185,32 @@ class PadeSystem:
         }
 
 
-def _product_series(a0: Poly, p0, p1, point: FieldElement, n_terms: int) -> list[FieldElement]:
-    """Coefficients 0..n_terms-1 of a0(t) G(point t), G(t) = sum_n [P]_n t^n."""
-    zero = _as_elem(0, a0.d)
-    series = [_as_elem(1, a0.d)]
-    for n in range(1, n_terms):
-        series.append(series[-1] * (p0 + p1 * (n - 1)) * point)
-    nonzero = [(h, c) for h, c in enumerate(a0.coeffs) if c]
-    out = []
-    for n in range(n_terms):
-        acc = zero
-        for h, c in nonzero:
-            if h > n:
-                break
-            acc = acc + c * series[n - h]
-        out.append(acc)
-    return out
+def _product_series(a0: Poly, p0, p1, point: FieldElement, n_terms: int) -> Poly:
+    """a0(t) G(point t) below t^n_terms, G(t) = sum_n [P]_n t^n.
+
+    With e the denominator of P and f that of the point, the terms
+    [P]_n point^n share the denominator (ef)^(n_terms-1), so the series and
+    its product with a0 run on int numerators.
+    """
+    d = a0.d
+    dd = d or 0
+    a, b, f = point.integral_form()
+    (u0, u1), (v0, v1), e = Poly([p0, p1], d).integral_form()
+    SA, SB = [1], [0]
+    x, y = 1, 0
+    for k in range(n_terms - 1):
+        u, v = u0 + u1 * k, v0 + v1 * k  # e P(k)
+        r, s = u * a + dd * v * b, u * b + v * a
+        x, y = x * r + dd * y * s, x * s + y * r
+        SA.append(x)
+        SB.append(y)
+    q = e * f
+    if q != 1:
+        powers = [q ** (n_terms - 1 - n) for n in range(n_terms)]
+        SA = [x * w for x, w in zip(SA, powers)]
+        SB = [y * w for y, w in zip(SB, powers)]
+    A0, B0, c0 = a0.integral_form()
+    return _poly(*_pair_product(A0, B0, SA, SB, d, n_terms), c0 * q ** (n_terms - 1), d)
 
 
 def _cleared_columns(
@@ -215,7 +232,7 @@ def _cleared_columns(
         cleared = cleared * (p0 + p1 * k)
     columns = [Poly(c0, d)]
     for beta in sv.beta:
-        columns.append(Poly(_product_series(columns[0], p0, p1, beta, L + mu), d))
+        columns.append(_product_series(columns[0], p0, p1, beta, L + mu))
     return tuple(columns), cleared
 
 
@@ -274,20 +291,44 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
 
 
 def _exact_quotient(num: Poly, den: Poly) -> Poly:
-    """num / den by long division, for den dividing num exactly.
+    """num / den by pseudo-division on the int numerators.
 
-    Quotient coefficient i reads the remainder at i + deg(den) only, so the
-    remainder below deg(den) is never updated.
+    Both numerators are multiplied by the conjugate of den's lead, which
+    makes that lead the int norm N.  Each quotient step divides a remainder
+    pair exactly by N, after scaling the remainder and the quotient so far
+    by the part of N the pair lacks.  A nonzero remainder means den does
+    not divide num and raises ArithmeticError.
     """
-    rem = list(num.coeffs)
-    top = den.degree
-    lead = den.coeffs[-1].inverse()
-    quotient = [None] * (num.degree - top + 1)
-    for i in range(len(quotient) - 1, -1, -1):
-        q = quotient[i] = rem[i + top] * lead
-        for k in range(max(top - i, 0), top):
-            rem[i + k] = rem[i + k] - q * den.coeffs[k]
-    return Poly(quotient, num.d)
+    d = num.d
+    dd = d or 0
+    NA, NB, num_c = num.integral_form()
+    DA, DB, den_c = den.integral_form()
+    top = len(DA) - 1
+    a, b = DA[-1], DB[-1]
+    lead = a
+    if b:
+        NA, NB = _pair_product(NA, NB, (a,), (-b,), d, len(NA))
+        DA, DB = _pair_product(DA, DB, (a,), (-b,), d, len(DA))
+        lead = a * a - d * b * b
+    remA, remB = list(NA), list(NB)
+    QA = [0] * (len(NA) - top)
+    QB = list(QA)
+    scale = 1
+    for i in range(len(QA) - 1, -1, -1):
+        x, y = remA[i + top], remB[i + top]
+        g = math.gcd(x, y, lead)
+        s = lead // g
+        if s != 1:
+            remA, remB = [r * s for r in remA], [r * s for r in remB]
+            QA, QB = [q * s for q in QA], [q * s for q in QB]
+            scale *= s
+        qa = QA[i] = x // g
+        qb = QB[i] = y // g
+        remA[i : i + top] = [r - qa * u - dd * qb * v for r, u, v in zip(remA[i : i + top], DA, DB)]
+        remB[i : i + top] = [r - qa * v - qb * u for r, u, v in zip(remB[i : i + top], DA, DB)]
+    if any(remA[:top]) or any(remB[:top]):
+        raise ArithmeticError("the divisor leaves a nonzero remainder")
+    return _poly([q * den_c for q in QA], [q * den_c for q in QB], scale * num_c, d)
 
 
 def _poly_det(matrix: list[list[Poly]], d) -> Poly:

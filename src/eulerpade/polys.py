@@ -1,92 +1,165 @@
-"""Dense univariate polynomials with exact field-element coefficients.
+"""Dense univariate polynomials over Q(sqrt(d)), held as ints.
 
-Coefficients are stored ascending by exponent and trimmed, so the zero
-polynomial has an empty coefficient list and degree -1.  Only what the
-Pade construction needs lives here.
+A polynomial sum_i (A_i + B_i sqrt(d))/c t^i is stored the way a
+FieldElement stores one number: one denominator c > 0 and the int tuples
+A and B of the numerators, ascending by exponent, trimmed so that the top
+pair is nonzero, with gcd(c, all A, all B) = 1.  The zero polynomial has
+empty tuples, c = 1 and degree -1; over Q every B_i is 0.  Equality and
+hashing compare the ints (and d, when some B_i is not 0), and arithmetic
+and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement coefficients are built only when
+coeffs or [i] is read.  Only what the Pade construction needs lives here.
 """
 
 from __future__ import annotations
 
-from .numfield import FieldElement, _as_elem
+import math
+from itertools import zip_longest
+
+from .numfield import FieldElement, _as_elem, _make, _reduced
+
+_new = object.__new__
+
+
+def _poly(A, B, c: int, d) -> Poly:
+    """The Poly (A + B sqrt(d))/c for int sequences A, B of one length and any int c != 0."""
+    n = len(A)
+    while n and not A[n - 1] and not B[n - 1]:
+        n -= 1
+    A, B = A[:n], B[:n]
+    g = 1 if c == 1 else math.gcd(c, *A, *B)
+    if c < 0:
+        g = -g
+    if g != 1:
+        A, B, c = [a // g for a in A], [b // g for b in B], c // g
+    poly = _new(Poly)
+    poly._A, poly._B, poly._c, poly.d, poly._coeffs = tuple(A), tuple(B), c, d, None
+    return poly
+
+
+def _pair_product(A1, B1, A2, B2, d, n: int) -> tuple[list[int], list[int]]:
+    """Numerators of (A1 + B1 sqrt(d))(A2 + B2 sqrt(d)) below t^n, one row
+    of the shorter factor at a time."""
+    if len(A1) > len(A2):
+        A1, B1, A2, B2 = A2, B2, A1, B1
+    size = min(n, len(A1) + len(A2) - 1)
+    A, B = [0] * size, [0] * size
+    irrational = d is not None and any(B2)
+    for i, (a, b) in enumerate(zip(A1[:size], B1)):
+        j = min(size, i + len(A2))
+        if b:
+            db = d * b
+            A[i:j] = [x + a * u + db * v for x, u, v in zip(A[i:j], A2, B2)]
+            B[i:j] = [y + a * v + b * u for y, u, v in zip(B[i:j], A2, B2)]
+        elif a:
+            A[i:j] = [x + a * u for x, u in zip(A[i:j], A2)]
+            if irrational:
+                B[i:j] = [y + a * v for y, v in zip(B[i:j], B2)]
+    return A, B
 
 
 class Poly:
     """A polynomial over Q(sqrt(d)), immutable in practice."""
 
-    __slots__ = ("coeffs", "d")
+    __slots__ = ("_A", "_B", "_c", "d", "_coeffs")
 
-    def __init__(self, coeffs, d):
-        coeffs = [_as_elem(c, d) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-        self.d = d
+    def __new__(cls, coeffs, d):
+        forms = [_as_elem(x, d).integral_form() for x in coeffs]
+        c = math.lcm(*(k for _, _, k in forms))
+        return _poly([a * (c // k) for a, _, k in forms], [b * (c // k) for _, b, k in forms], c, d)
 
     @classmethod
     def zero(cls, d) -> Poly:
-        return cls([], d)
+        return _poly((), (), 1, d)
 
     @classmethod
     def monomial(cls, coeff, exponent: int, d) -> Poly:
         return cls([0] * exponent + [coeff], d)
 
+    def integral_form(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(A, B, c) with self = sum_i (A_i + B_i sqrt(d))/c t^i, trimmed and in lowest terms."""
+        return self._A, self._B, self._c
+
+    def __reduce__(self):
+        return _poly, (self._A, self._B, self._c, self.d)
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        if self._coeffs is None:
+            c, d = self._c, self.d
+            self._coeffs = tuple(_reduced(a, b, c, d) for a, b in zip(self._A, self._B))
+        return self._coeffs
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._A) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._A)
 
     def __getitem__(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return _as_elem(0, self.d)
+        if 0 <= i < len(self._A):
+            return _reduced(self._A[i], self._B[i], self._c, self.d)
+        return _make(0, 0, 1, self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (
+            self._c == other._c
+            and self._A == other._A
+            and self._B == other._B
+            and (self.d == other.d or not any(self._B))
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._A, self._B, self._c))
 
     def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)], self.d)
+        if other.d != self.d and any(other._B):
+            raise ValueError("element belongs to a different field")
+        c1, c2 = self._c, other._c
+        g = math.gcd(c1, c2)
+        s1, s2 = c2 // g, c1 // g
+        A = [x * s1 + y * s2 for x, y in zip_longest(self._A, other._A, fillvalue=0)]
+        B = [x * s1 + y * s2 for x, y in zip_longest(self._B, other._B, fillvalue=0)]
+        return _poly(A, B, c1 * s1, self.d)
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs], self.d)
+        return _poly([-a for a in self._A], [-b for b in self._B], self._c, self.d)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other) -> Poly:
+        d = self.d
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly.zero(self.d)
-            out = [_as_elem(0, self.d)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                if not ci:
-                    continue
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + ci * cj
-            return Poly(out, self.d)
-        return Poly([c * other for c in self.coeffs], self.d)
+            if other.d != d and any(other._B):
+                raise ValueError("element belongs to a different field")
+            A, B = _pair_product(
+                self._A, self._B, other._A, other._B, d, len(self._A) + len(other._A) - 1
+            )
+            return _poly(A, B, self._c * other._c, d)
+        a, b, c = _as_elem(other, d).integral_form()
+        return _poly(*_pair_product(self._A, self._B, (a,), (b,), d, len(self._A)), self._c * c, d)
 
     __rmul__ = __mul__
 
     def __call__(self, point) -> FieldElement:
-        point = _as_elem(point, self.d)
-        acc = _as_elem(0, self.d)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """The value at point, by Horner's rule on the numerators."""
+        a, b, c = _as_elem(point, self.d).integral_form()
+        dd = self.d or 0
+        x = y = 0
+        scale = 1  # c^(degree - i) at step i
+        for ai, bi in zip(reversed(self._A), reversed(self._B)):
+            x, y = x * a + dd * y * b + ai * scale, x * b + y * a + bi * scale
+            scale *= c
+        return _reduced(x, y, self._c * c ** max(self.degree, 0), self.d)
 
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._A:
             return "Poly(0)"
         terms = [f"({c})t^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"

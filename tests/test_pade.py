@@ -274,6 +274,38 @@ def test_pade_generic_remainder_and_orders():
     assert pade_order_check(system, cutoff) == min(orders) >= system.order_target
 
 
+def test_pade_generic_non_integral_inputs(K5):
+    # P(x) = 1/2 + x/3 and half-integral points: every denominator the
+    # product series scales away, checked against a series summed here
+    p0, p1 = Fraction(1, 2), Fraction(1, 3)
+    beta = [K5(Fraction(1, 2), Fraction(3, 2)), K5(Fraction(3, 2), Fraction(-1, 2))]
+    l_vec, mu = [2, 1], 1
+    system = pade_generic(l_vec, mu, beta, p0, p1)
+    sigma = [K5(1)]
+    for lj, b in zip(l_vec, beta):
+        for _ in range(lj):
+            sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
+    L = len(sigma) - 1
+    start = L + mu
+    b0 = [sigma[L - h] * Fraction(1, _rising(p0, p1, L - h + mu)) for h in range(L + 1)]
+    assert list(system.B[0].coeffs) == b0
+    cutoff = start + max(l_vec) + 5
+    orders = system.order_check(cutoff)
+    for j, (bj, lj) in enumerate(zip(beta, l_vec), start=1):
+        series = [
+            sum((b0[h] * _rising(p0, p1, n - h) * bj ** (n - h) for h in range(min(L, n) + 1)), K5(0))
+            for n in range(cutoff + 1)
+        ]
+        column = system.B[j]
+        assert column.degree < start
+        assert [column[n] for n in range(start)] == series[:start]
+        for n in range(start + lj + 3):
+            assert system.remainder_coefficient(n, j) == series[n]
+        assert not any(series[start : start + lj])
+        assert orders[j - 1] == next(n for n in range(cutoff) if series[n] != column[n])
+        assert orders[j - 1] >= start + lj
+
+
 def test_remainder_at_unity_needs_euler_series():
     system = pade_generic([1], 0, [1], 1, 2)
     v = places_above(QuadraticField(), 3)[0]
