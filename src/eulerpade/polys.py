@@ -6,8 +6,9 @@ A and B of the numerators, ascending by exponent, trimmed so that the top
 pair is nonzero, with gcd(c, all A, all B) = 1.  The zero polynomial has
 empty tuples, c = 1 and degree -1; over Q every B_i is 0.  Equality and
 hashing compare the ints (and d, when some B_i is not 0), and arithmetic
-and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement coefficients are built only when
-coeffs or [i] is read.  Only what the Pade construction needs lives here.
+and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement
+coefficients are built only when coeffs or [i] is read.  Only what the
+Pade construction needs lives here.
 """
 
 from __future__ import annotations

@@ -106,6 +106,7 @@ def cases(draw, n_polys=2, max_len=6):
 
 def assert_same(poly: Poly, ref: RefPoly):
     assert poly.coeffs == ref.coeffs
+    assert poly.coeffs is poly.coeffs  # built once, on the first read
     assert poly.degree == len(ref.coeffs) - 1
     assert bool(poly) == bool(ref.coeffs)
     assert poly.to_json() == ref.to_json()
