@@ -7,9 +7,8 @@ embedding quadratic irrationals into Z_p).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotSplitError
 
@@ -56,16 +55,18 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-@lru_cache(maxsize=8)
-def _primes_to(hi: int) -> tuple[int, ...]:
-    """primes_upto(hi), kept for the last few bounds."""
-    return tuple(primes_upto(hi))
+_sieve = (1, [])  # (bound, primes_upto(bound)) for the largest bound asked for
 
 
 def prime_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, as a fresh list sliced from the sieve to hi."""
-    primes = _primes_to(hi)
-    return list(primes[bisect_left(primes, lo) :])
+    """Primes p with lo <= p <= hi, a fresh list sliced from one sieve that
+    is regrown only when hi passes its bound."""
+    global _sieve
+    bound, primes = _sieve
+    if hi > bound:
+        primes = primes_upto(hi)
+        _sieve = hi, primes
+    return primes[bisect_left(primes, lo) : bisect_right(primes, hi)]
 
 
 def factorize(n: int) -> dict[int, int]:

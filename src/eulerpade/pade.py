@@ -32,7 +32,7 @@ from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatc
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
 from .padics import CompletionElement, _law, _pair_mul, _residue, euler_eval_certified
 from .places import Place
-from .polys import Poly, _pair_product, _poly
+from .polys import Poly, _exact_quotient, _factorial_series_product
 
 
 def _common_field(elems) -> int | None:
@@ -151,7 +151,9 @@ class PadeSystem:
         """
         if not 1 <= j <= self.m:
             raise ValueError(f"j must be in 1..{self.m}")
-        return _product_series(self.B[0], self.p0, self.p1, self.alpha[j - 1], n + 1)[n]
+        return _factorial_series_product(
+            self.B[0], (self.p0, self.p1), self.alpha[j - 1], n + 1
+        )[n]
 
     def order_check(self, cutoff: int) -> list[int]:
         """First nonzero exponent of B_0(t) G(alpha_j t) - B_j(t) below the cutoff, per column.
@@ -165,14 +167,12 @@ class PadeSystem:
             raise CutoffTooSmallError(f"cutoff must be at least {start + max(self.l_vec) + 5}")
         orders = []
         for j, (point, lj) in enumerate(zip(self.alpha, self.l_vec), start=1):
-            series = _product_series(self.B[0], self.p0, self.p1, point, cutoff + 1)
-            A, B, _ = series.integral_form()
-            for n in range(start, min(start + lj, len(A))):
-                if A[n] or B[n]:
-                    raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
-            A, B, _ = (series - self.B[j]).integral_form()
-            first = (n for n, pair in enumerate(zip(A[:cutoff], B)) if any(pair))
-            orders.append(next(first, cutoff))
+            series = _factorial_series_product(self.B[0], (self.p0, self.p1), point, cutoff + 1)
+            n = series.order(start)
+            if n is not None and n < start + lj:
+                raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
+            n = (series - self.B[j]).order()
+            orders.append(cutoff if n is None else min(n, cutoff))
         return orders
 
     def to_json(self) -> dict:
@@ -183,34 +183,6 @@ class PadeSystem:
             "alphas": [str(a) for a in self.alpha],
             "B": [B.to_json() for B in self.B],
         }
-
-
-def _product_series(a0: Poly, p0, p1, point: FieldElement, n_terms: int) -> Poly:
-    """a0(t) G(point t) below t^n_terms, G(t) = sum_n [P]_n t^n.
-
-    With e the denominator of P and f that of the point, the terms
-    [P]_n point^n share the denominator (ef)^(n_terms-1), so the series and
-    its product with a0 run on int numerators.
-    """
-    d = a0.d
-    dd = d or 0
-    a, b, f = point.integral_form()
-    (u0, u1), (v0, v1), e = Poly([p0, p1], d).integral_form()
-    SA, SB = [1], [0]
-    x, y = 1, 0
-    for k in range(n_terms - 1):
-        u, v = u0 + u1 * k, v0 + v1 * k  # e P(k)
-        r, s = u * a + dd * v * b, u * b + v * a
-        x, y = x * r + dd * y * s, x * s + y * r
-        SA.append(x)
-        SB.append(y)
-    q = e * f
-    if q != 1:
-        powers = [q ** (n_terms - 1 - n) for n in range(n_terms)]
-        SA = [x * w for x, w in zip(SA, powers)]
-        SB = [y * w for y, w in zip(SB, powers)]
-    A0, B0, c0 = a0.integral_form()
-    return _poly(*_pair_product(A0, B0, SA, SB, d, n_terms), c0 * q ** (n_terms - 1), d)
 
 
 def _cleared_columns(
@@ -232,7 +204,7 @@ def _cleared_columns(
         cleared = cleared * (p0 + p1 * k)
     columns = [Poly(c0, d)]
     for beta in sv.beta:
-        columns.append(_product_series(columns[0], p0, p1, beta, L + mu))
+        columns.append(_factorial_series_product(columns[0], (p0, p1), beta, L + mu))
     return tuple(columns), cleared
 
 
@@ -288,47 +260,6 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
     return PadeSystem(
         sv.l_vec, mu, sv.beta, p0, p1, sv, tuple(column * scale for column in columns), d
     )
-
-
-def _exact_quotient(num: Poly, den: Poly) -> Poly:
-    """num / den by pseudo-division on the int numerators.
-
-    Both numerators are multiplied by the conjugate of den's lead, which
-    makes that lead the int norm N.  Each quotient step divides a remainder
-    pair exactly by N, after scaling the remainder and the quotient so far
-    by the part of N the pair lacks.  A nonzero remainder means den does
-    not divide num and raises ArithmeticError.
-    """
-    d = num.d
-    dd = d or 0
-    NA, NB, num_c = num.integral_form()
-    DA, DB, den_c = den.integral_form()
-    top = len(DA) - 1
-    a, b = DA[-1], DB[-1]
-    lead = a
-    if b:
-        NA, NB = _pair_product(NA, NB, (a,), (-b,), d, len(NA))
-        DA, DB = _pair_product(DA, DB, (a,), (-b,), d, len(DA))
-        lead = a * a - d * b * b
-    remA, remB = list(NA), list(NB)
-    QA = [0] * (len(NA) - top)
-    QB = list(QA)
-    scale = 1
-    for i in range(len(QA) - 1, -1, -1):
-        x, y = remA[i + top], remB[i + top]
-        g = math.gcd(x, y, lead)
-        s = lead // g
-        if s != 1:
-            remA, remB = [r * s for r in remA], [r * s for r in remB]
-            QA, QB = [q * s for q in QA], [q * s for q in QB]
-            scale *= s
-        qa = QA[i] = x // g
-        qb = QB[i] = y // g
-        remA[i : i + top] = [r - qa * u - dd * qb * v for r, u, v in zip(remA[i : i + top], DA, DB)]
-        remB[i : i + top] = [r - qa * v - qb * u for r, u, v in zip(remB[i : i + top], DA, DB)]
-    if any(remA[:top]) or any(remB[:top]):
-        raise ArithmeticError("the divisor leaves a nonzero remainder")
-    return _poly([q * den_c for q in QA], [q * den_c for q in QB], scale * num_c, d)
 
 
 def _poly_det(matrix: list[list[Poly]], d) -> Poly:

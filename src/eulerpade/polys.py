@@ -8,7 +8,9 @@ empty tuples, c = 1 and degree -1; over Q every B_i is 0.  Equality and
 hashing compare the ints (and d, when some B_i is not 0), and arithmetic
 and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement
 coefficients are built only when coeffs or [i] is read.  Only what the
-Pade construction needs lives here.
+Pade construction needs lives here, and this module alone reads the
+numerators: besides Poly, the product of a polynomial with the series
+sum_n [P]_n (x t)^n, and the exact division behind Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def _pair_product(A1, B1, A2, B2, d, n: int) -> tuple[list[int], list[int]]:
     return A, B
 
 
+def _pair_mul(x, y, u, v, dd):
+    """(x + y sqrt(d))(u + v sqrt(d)) as an int pair, with dd = d (0 over Q)."""
+    return x * u + dd * y * v, x * v + y * u
+
+
 class Poly:
     """A polynomial over Q(sqrt(d)), immutable in practice."""
 
@@ -76,10 +83,6 @@ class Poly:
     def monomial(cls, coeff, exponent: int, d) -> Poly:
         return cls([0] * exponent + [coeff], d)
 
-    def integral_form(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(A, B, c) with self = sum_i (A_i + B_i sqrt(d))/c t^i, trimmed and in lowest terms."""
-        return self._A, self._B, self._c
-
     def __reduce__(self):
         return _poly, (self._A, self._B, self._c, self.d)
 
@@ -97,6 +100,11 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._A)
 
+    def order(self, start: int = 0) -> int | None:
+        """The least exponent i >= start with a nonzero coefficient, or None."""
+        A, B = self._A, self._B
+        return next((i for i in range(start, len(A)) if A[i] or B[i]), None)
+
     def __getitem__(self, i: int) -> FieldElement:
         if 0 <= i < len(self._A):
             return _reduced(self._A[i], self._B[i], self._c, self.d)
@@ -105,12 +113,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self._c == other._c
-            and self._A == other._A
-            and self._B == other._B
-            and (self.d == other.d or not any(self._B))
-        )
+        same = (self._c, self._A, self._B) == (other._c, other._A, other._B)
+        return same and (self.d == other.d or not any(self._B))
 
     def __hash__(self) -> int:
         return hash((self._A, self._B, self._c))
@@ -152,7 +156,8 @@ class Poly:
         x = y = 0
         scale = 1  # c^(degree - i) at step i
         for ai, bi in zip(reversed(self._A), reversed(self._B)):
-            x, y = x * a + dd * y * b + ai * scale, x * b + y * a + bi * scale
+            x, y = _pair_mul(x, y, a, b, dd)
+            x, y = x + ai * scale, y + bi * scale
             scale *= c
         return _reduced(x, y, self._c * c ** max(self.degree, 0), self.d)
 
@@ -164,3 +169,70 @@ class Poly:
             return "Poly(0)"
         terms = [f"({c})t^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _factorial_series_product(a0: Poly, p, point, n_terms: int) -> Poly:
+    """a0(t) sum_n [P]_n (point t)^n below t^n_terms, [P]_n = prod_{k<n} P(k),
+    for P = p[0] + p[1] x of degree one.  With e the denominator of P and f
+    that of the point, every term is an int pair over (ef)^(n_terms-1)."""
+    d = a0.d
+    dd = d or 0
+    P = Poly(p, d)
+    a, b, f = _as_elem(point, d).integral_form()
+    (r0, s0), (r1, s1) = (_pair_mul(u, v, a, b, dd) for u, v in zip(P._A, P._B))
+    SA, SB = [1], [0]
+    x, y = 1, 0
+    for k in range(n_terms - 1):
+        x, y = _pair_mul(x, y, r0 + r1 * k, s0 + s1 * k, dd)  # times e f P(k) point
+        SA.append(x)
+        SB.append(y)
+    q = P._c * f
+    if q != 1:
+        powers = [q ** (n_terms - 1 - n) for n in range(n_terms)]
+        SA = [x * w for x, w in zip(SA, powers)]
+        SB = [y * w for y, w in zip(SB, powers)]
+    A, B = _pair_product(a0._A, a0._B, SA, SB, d, n_terms)
+    return _poly(A, B, a0._c * q ** (n_terms - 1), d)
+
+
+def _exact_quotient(num: Poly, den: Poly) -> Poly:
+    """num / den by pseudo-division on the int numerators.
+
+    Both numerators are multiplied by the conjugate of den's lead, which
+    makes that lead the int norm N, and den's numerators and denominator
+    are negated together if N < 0.  Each quotient step divides a remainder
+    pair exactly by N, after scaling the remainder and the quotient so far
+    by the part of N the pair lacks.  A nonzero remainder means den does
+    not divide num and raises ArithmeticError.
+    """
+    d = num.d
+    NA, NB, num_c = num._A, num._B, num._c
+    DA, DB, den_c = den._A, den._B, den._c
+    a, b = DA[-1], DB[-1]
+    if b:
+        NA, NB = _pair_product(NA, NB, (a,), (-b,), d, len(NA))
+        DA, DB = _pair_product(DA, DB, (a,), (-b,), d, len(DA))
+    if DA[-1] < 0:
+        DA, DB, den_c = [-u for u in DA], [-v for v in DB], -den_c
+    top = len(DA) - 1
+    lead, DA, DB = DA[-1], DA[:top], DB[:top]
+    remA, remB = list(NA), list(NB)
+    QA = [0] * (len(NA) - top)
+    QB = list(QA)
+    scale = 1
+    for i in range(len(QA) - 1, -1, -1):
+        x, y = remA[i + top], remB[i + top]
+        g = math.gcd(x, y, lead)
+        s = lead // g
+        if s != 1:
+            remA, remB = [r * s for r in remA], [r * s for r in remB]
+            QA, QB = [q * s for q in QA], [q * s for q in QB]
+            scale *= s
+        qa = QA[i] = x // g
+        qb = QB[i] = y // g
+        PA, PB = _pair_product((qa,), (qb,), DA, DB, d, top)
+        remA[i : i + top] = [r - u for r, u in zip(remA[i : i + top], PA)]
+        remB[i : i + top] = [r - v for r, v in zip(remB[i : i + top], PB)]
+    if any(remA[:top]) or any(remB[:top]):
+        raise ArithmeticError("the divisor leaves a nonzero remainder")
+    return _poly([q * den_c for q in QA], [q * den_c for q in QB], scale * num_c, d)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerpade.arith import factorize, primes_upto
+from eulerpade.arith import factorize, prime_range, primes_upto
 from eulerpade.errors import (
     AllLambdaZeroError,
     HeightTooSmallError,
@@ -217,6 +217,15 @@ def test_rosser_inequality_window():
         if x in primes:
             check += math.log(x) / x
         assert check < math.log(x)
+
+
+def test_prime_range_slices_one_sieve():
+    # bounds that rise, fall and repeat, as a certificate search sends them
+    for lo, hi in [(2, 50), (11, 71), (2, 50), (0, 1), (30, 20), (47, 107), (5, 5), (100, 101)]:
+        primes = prime_range(lo, hi)
+        assert primes == [p for p in primes_upto(hi) if p >= lo]
+        primes.append(0)  # a fresh list: the sieve is not touched
+        assert prime_range(lo, hi) == [p for p in primes_upto(hi) if p >= lo]
 
 
 def test_residue_condition_examples():

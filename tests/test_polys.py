@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eulerpade.numfield import FieldElement, QuadraticField, _as_elem
-from eulerpade.pade import _exact_quotient
-from eulerpade.polys import Poly
+from eulerpade.polys import Poly, _exact_quotient
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,7 +112,10 @@ def assert_same(poly: Poly, ref: RefPoly):
     assert repr(poly) == repr(ref)
     for i in range(-1, len(ref.coeffs) + 2):
         assert poly[i] == ref[i]
-    A, B, c = poly.integral_form()
+    for start in range(len(ref.coeffs) + 2):
+        first = (i for i in range(start, len(ref.coeffs)) if ref[i])
+        assert poly.order(start) == next(first, None)
+    A, B, c = poly._A, poly._B, poly._c
     assert c > 0 and len(A) == len(B) == len(ref.coeffs)
     assert math.gcd(c, *A, *B) == 1
     assert not A or A[-1] or B[-1]
@@ -166,7 +168,7 @@ def test_zero_polynomial():
     for d in FIELDS:
         zero = Poly([0, 0], d)
         assert zero == Poly.zero(d) == Poly([], d)
-        assert zero.integral_form() == ((), (), 1)
+        assert (zero._A, zero._B, zero._c) == ((), (), 1)
         assert (zero.degree, zero.coeffs, repr(zero)) == (-1, (), "Poly(0)")
         assert zero(QuadraticField(d)(3)) == 0
         assert not zero * Poly([1, 2], d) and not zero * 5
