@@ -24,14 +24,12 @@ _new = object.__new__
 
 
 def _poly(A, B, c: int, d) -> Poly:
-    """The Poly (A + B sqrt(d))/c for int sequences A, B of one length and any int c != 0."""
+    """The Poly (A + B sqrt(d))/c for int sequences A, B of one length and an int c > 0."""
     n = len(A)
     while n and not A[n - 1] and not B[n - 1]:
         n -= 1
     A, B = A[:n], B[:n]
     g = 1 if c == 1 else math.gcd(c, *A, *B)
-    if c < 0:
-        g = -g
     if g != 1:
         A, B, c = [a // g for a in A], [b // g for b in B], c // g
     poly = _new(Poly)
