@@ -16,7 +16,6 @@ reported as "undetermined", never as vanishing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,22 +33,12 @@ from .numfield import (
     FieldElement,
     QuadraticField,
     _algebraic_integer,
-    _as_elem,
-    _make,
     _validated_lambdas,
     _validated_points,
     arch_abs_normalized,
 )
-from .padics import (
-    PRECISION_CAP,
-    CompletionElement,
-    _law,
-    _pair_mul,
-    _residue,
-    _residue_w2,
-    euler_eval_certified,
-)
-from .places import Place, factorial_valuation, normalized_abs_log, places_above, valuation
+from .padics import PRECISION_CAP, linear_form_value
+from .places import Place, factorial_valuation, normalized_abs_log, places_above
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +144,14 @@ def limsup_sequence(
         raise UnsupportedDescriptorError(
             "residue-class collections are judged by their decay slope instead"
         )
-    alphas = _validated_alphas(K, alpha_vec)
-    m = len(alphas)
-    kappa = K.kappa
     _, c2 = constants_c1_c2(K, alpha_vec, V)
+    return _limsup_values(K.kappa, len(alpha_vec), c2, V, l_max)
+
+
+def _limsup_values(
+    kappa: int, m: int, c2: float, V: ValuationSetDescriptor, l_max: int
+) -> list[float]:
+    """limsup_sequence for m points whose constant c2 is already known."""
     out = []
     for l in range(1, l_max + 1):
         a_l = (
@@ -493,48 +486,6 @@ def certificate_from_json(obj: dict) -> Certificate:
         None if obj["tail_valuation_bound"] is None else Fraction(obj["tail_valuation_bound"]),
         status,
     )
-
-
-#: the number of series values linear_form_value keeps, least recently used
-#: dropped first: forms over the same points share their values, and forms
-#: on small points of Q come back to them after a few hundred others
-EVAL_MEMO_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=EVAL_MEMO_SIZE)
-def _series_value(v: Place, A: int, B: int, c: int, precision: int) -> tuple[int, int, int]:
-    """(a, b, 2 * tail bound) of F_v(alpha) mod p^precision, alpha = (A + B*sqrt(d))/c."""
-    cv = euler_eval_certified(v, _make(A, B, c, v.d), precision)
-    return cv.value.a, cv.value.b, int(2 * cv.tail_valuation_bound)
-
-
-def linear_form_value(
-    lambdas, alphas, v: Place, precision: int
-) -> tuple[CompletionElement, Fraction]:
-    """Residue mod p^precision of lambda_0 + sum_j lambda_j F_v(alpha_j),
-    together with an exact lower bound on the valuation of what was cut.
-
-    Each F_v(alpha_j) is looked up in a bounded memo of series values, and
-    the form is summed on int pairs, with valuations in half-units.
-    w_v(lambda_j) is read off lambda_j's residue, and computed exactly only
-    when the residue leaves it open.
-    """
-    mod = v.p**precision
-    c, s = _law(v)
-    acc_a, acc_b = _residue(v, precision, lambdas[0])
-    tail2 = None
-    for lam, al in zip(lambdas[1:], alphas):
-        if not lam:
-            continue
-        a, b, bound2 = _series_value(v, *_as_elem(al, v.d).integral_form(), precision)
-        la, lb = _residue(v, precision, lam)
-        ta, tb = _pair_mul(la, lb, a, b, c, s, mod)
-        acc_a, acc_b = acc_a + ta, acc_b + tb
-        w2 = _residue_w2(v, la, lb, mod)
-        bound2 += int(2 * valuation(v, lam)) if w2 is None else w2
-        tail2 = bound2 if tail2 is None else min(tail2, bound2)
-    value = CompletionElement(v, precision, acc_a % mod, acc_b % mod)
-    return value, Fraction(precision) if tail2 is None else Fraction(tail2, 2)
 
 
 def certify_nonvanishing(

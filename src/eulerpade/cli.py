@@ -25,12 +25,12 @@ from pathlib import Path
 from .arith import is_prime
 from .certify import (
     ValuationSetDescriptor,
+    _limsup_values,
     certificate_from_json,
     certify_nonvanishing,
     constants_c1_c2,
     even_factorial_linear_form,
     fibonacci_linear_form,
-    limsup_sequence,
     monotone_decrease_onset,
     residue_condition,
     effective_bounds,
@@ -153,9 +153,9 @@ def _cmd_limsup(args) -> int:
         descriptor = ValuationSetDescriptor.cofinite(excluded)
     else:
         descriptor = ValuationSetDescriptor.all_places()
-    values = limsup_sequence(K, alphas, descriptor, args.lmax)
-    onset = monotone_decrease_onset(values)
     c1, c2 = constants_c1_c2(K, alphas, descriptor)
+    values = _limsup_values(K.kappa, len(alphas), c2, descriptor, args.lmax)
+    onset = monotone_decrease_onset(values)
     payload = {
         "c1": c1,
         "c2": c2,

@@ -283,7 +283,7 @@ def _as_elem(value, d) -> FieldElement:
             return value
         if value._B == 0:
             return _make(value._A, 0, value._c, d)
-        raise ValueError("element belongs to a different field")
+        raise FieldMismatchError("element belongs to a different field")
     if type(value) is int:
         return _make(value, 0, 1, d)
     value = Fraction(value)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatchError
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
-from .padics import CompletionElement, _law, _pair_mul, _residue, euler_eval_certified
+from .padics import CompletionElement, linear_form_value
 from .places import Place
 from .polys import Poly, _exact_quotient, _factorial_series_product
 
@@ -353,19 +353,15 @@ def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:
 def remainder_at_unity(system: PadeSystem, v: Place, j: int, precision: int) -> CompletionElement:
     """The residue mod p^precision of s_{l,mu,j} = B_0(1) F_v(alpha_j) - B_j(1).
 
-    The infinite remainder series is never summed directly; the certified
-    evaluation of F_v feeds the defining identity instead, as one pair
-    product on int residues, and the listed precision is honest because
-    B_0(1) is an algebraic integer.  Systems over any other P are refused,
-    since their B_0 multiplies another series.
+    The infinite remainder series is never summed directly: s_{l,mu,j} is
+    the linear form (-B_j(1), B_0(1)) at the one point alpha_j, and the
+    listed precision is honest because B_0(1) and B_j(1) are algebraic
+    integers.  Systems over any other P are refused, since their B_0
+    multiplies another series.
     """
     if (system.p0, system.p1) != (1, 1):
         raise ValueError("remainder_at_unity needs Euler's series, P(x) = 1 + x")
     if not 1 <= j <= system.m:
         raise ValueError(f"j must be in 1..{system.m}")
-    b0, bj = system.B[0](1), system.B[j](1)
-    fv = euler_eval_certified(v, system.alpha[j - 1], precision).value
-    mod = fv.modulus
-    a, b = _pair_mul(*_residue(v, precision, b0), fv.a, fv.b, *_law(v), mod)
-    ja, jb = _residue(v, precision, bj)
-    return CompletionElement(v, precision, (a - ja) % mod, (b - jb) % mod)
+    lambdas = (-system.B[j](1), system.B[0](1))
+    return linear_form_value(lambdas, (system.alpha[j - 1],), v, precision)[0]

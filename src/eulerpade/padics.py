@@ -12,7 +12,8 @@ back to sqrt(d)-coordinates (then possibly half-integral) for output.  Every
 residue is read off the element's integral form (A + B*sqrt(d))/c.
 _pair_mul, under x^2 = c + s*x with (c, s) from _law(place), is the one
 residue law in every basis; int residues are pairs (a, 0).  A
-CompletionElement is a value record that does no arithmetic.
+CompletionElement is a value record that does no arithmetic.  Linear forms
+in series values are summed here too, so no other module combines residues.
 
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
@@ -33,6 +34,7 @@ refuses at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .errors import (
     NotSplitError,
     PrecisionCapError,
 )
-from .numfield import FieldElement, _algebraic_integer, _as_elem
+from .numfield import FieldElement, _algebraic_integer, _as_elem, _make
 from .places import RAMIFIED, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image, valuation
 
 #: hard ceiling on the requested residue precision N
@@ -341,3 +343,46 @@ def _sum_factorial_series(
     raise NoConvergenceError(
         f"no term reached valuation {n_target} within {n_max} terms at {v}"
     )
+
+
+#: the number of series values linear_form_value keeps, least recently used
+#: dropped first: forms over the same points share their values, and forms
+#: on small points of Q come back to them after a few hundred others
+EVAL_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=EVAL_MEMO_SIZE)
+def _series_value(v: Place, A: int, B: int, c: int, precision: int) -> tuple[int, int, int]:
+    """(a, b, 2 * tail bound) of F_v(alpha) mod p^precision, alpha = (A + B*sqrt(d))/c."""
+    cv = euler_eval_certified(v, _make(A, B, c, v.d), precision)
+    return cv.value.a, cv.value.b, int(2 * cv.tail_valuation_bound)
+
+
+def linear_form_value(
+    lambdas, alphas, v: Place, precision: int
+) -> tuple[CompletionElement, Fraction]:
+    """Residue mod p^precision of lambda_0 + sum_j lambda_j F_v(alpha_j),
+    together with an exact lower bound on the valuation of what was cut.
+
+    Each F_v(alpha_j) is looked up in a bounded memo of series values, and
+    the form is summed on int pairs, with valuations in half-units.
+    w_v(lambda_j) is read off lambda_j's residue, and computed exactly only
+    when the residue leaves it open.
+    """
+    _check_precision(precision)
+    mod = v.p**precision
+    c, s = _law(v)
+    acc_a, acc_b = _residue(v, precision, lambdas[0])
+    tail2 = None
+    for lam, al in zip(lambdas[1:], alphas):
+        if not lam:
+            continue
+        a, b, bound2 = _series_value(v, *_as_elem(al, v.d).integral_form(), precision)
+        la, lb = _residue(v, precision, lam)
+        ta, tb = _pair_mul(la, lb, a, b, c, s, mod)
+        acc_a, acc_b = acc_a + ta, acc_b + tb
+        w2 = _residue_w2(v, la, lb, mod)
+        bound2 += int(2 * valuation(v, lam)) if w2 is None else w2
+        tail2 = bound2 if tail2 is None else min(tail2, bound2)
+    value = CompletionElement(v, precision, acc_a % mod, acc_b % mod)
+    return value, Fraction(precision) if tail2 is None else Fraction(tail2, 2)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
+from .errors import FieldMismatchError
 from .numfield import FieldElement, _as_elem, _make, _reduced
 
 _new = object.__new__
@@ -119,7 +120,7 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         if other.d != self.d and any(other._B):
-            raise ValueError("element belongs to a different field")
+            raise FieldMismatchError("element belongs to a different field")
         c1, c2 = self._c, other._c
         g = math.gcd(c1, c2)
         s1, s2 = c2 // g, c1 // g
@@ -137,7 +138,7 @@ class Poly:
         d = self.d
         if isinstance(other, Poly):
             if other.d != d and any(other._B):
-                raise ValueError("element belongs to a different field")
+                raise FieldMismatchError("element belongs to a different field")
             A, B = _pair_product(
                 self._A, self._B, other._A, other._B, d, len(self._A) + len(other._A) - 1
             )

@@ -19,7 +19,7 @@ from eulerpade.numfield import QuadraticField
 from eulerpade.pade import pade_construct, remainder_at_unity, select_mu
 from eulerpade.padics import PRECISION_CAP, CompletionElement, euler_eval_certified
 from eulerpade.places import Place, factorial_valuation, places_above, valuation
-import eulerpade.certify as certify
+import eulerpade.padics as padics
 from eulerpade.certify import (
     VERIFY_EXTRA_DIGITS,
     ValuationSetDescriptor,
@@ -614,9 +614,9 @@ def test_linear_form_value_memo_matches_exact_sums(KQ, K5, Km1):
     assert {v.splitting for _, _, v, _ in cases} == {
         "split_1", "split_2", "inert", "ramified", "rational"}
     expected = [_exact_linear_form(*case) for case in cases]
-    certify._series_value.cache_clear()
+    padics._series_value.cache_clear()
     cold = [linear_form_value(*case) for case in cases]
-    assert certify._series_value.cache_info().hits > 0  # forms at inert@2 share phi
+    assert padics._series_value.cache_info().hits > 0  # forms at inert@2 share phi
     warm = [linear_form_value(*case) for case in cases]
     assert cold == warm == expected
 
@@ -626,21 +626,21 @@ def test_certificates_verify_after_the_memo_is_cleared():
     for a, b in [(1, 1), (-3, 4), (0, 7), (25, 25), (-25, 1)]:
         K, lambdas, alphas = fibonacci_linear_form(a, b)
         certs.append(certify_nonvanishing(K, lambdas, alphas, 2, 50))
-    certify._series_value.cache_clear()
+    padics._series_value.cache_clear()
     for cert in certs:
         assert cert.status == "nonzero"
         assert verify_certificate(cert)
-        certify._series_value.cache_clear()
+        padics._series_value.cache_clear()
         assert verify_certificate(certificate_from_json(cert.to_json()))
 
 
 def test_memo_stays_within_its_bound(KQ):
-    certify._series_value.cache_clear()
+    padics._series_value.cache_clear()
     for k in range(1, 2001):
         cert = certify_nonvanishing(KQ, [1, 1], [k], 2, 50)
         assert cert.status == "nonzero"
-    info = certify._series_value.cache_info()
-    assert info.maxsize == certify.EVAL_MEMO_SIZE
+    info = padics._series_value.cache_info()
+    assert info.maxsize == padics.EVAL_MEMO_SIZE
     assert info.misses > info.maxsize >= info.currsize
 
 

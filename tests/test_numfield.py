@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from eulerpade.errors import FieldMismatchError
-from eulerpade.numfield import QuadraticField, arch_abs_normalized
+from eulerpade.numfield import QuadraticField, _as_elem, arch_abs_normalized
+from eulerpade.polys import Poly
 
 from conftest import random_integral_element
 
@@ -43,6 +44,22 @@ def test_division_by_zero(K5):
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         QuadraticField(5)(0, 1) + QuadraticField(2)(0, 1)
+
+
+def test_every_field_mix_raises_field_mismatch():
+    # coercion and polynomial arithmetic refuse irrational elements of
+    # another field with the same error as FieldElement arithmetic
+    root5, root2 = QuadraticField(5).sqrt_gen(), QuadraticField(2).sqrt_gen()
+    with pytest.raises(FieldMismatchError, match="different field"):
+        _as_elem(root5, 2)
+    with pytest.raises(FieldMismatchError, match="different field"):
+        Poly([1], 2) + Poly([root5], 5)
+    with pytest.raises(FieldMismatchError, match="different field"):
+        Poly([root2], 2) * Poly([1, root5], 5)
+    with pytest.raises(FieldMismatchError, match="different field"):
+        Poly([root2], 2) * root5
+    # rational elements of another field still carry over
+    assert _as_elem(QuadraticField(5)(3), 2) == QuadraticField(2)(3)
 
 
 def test_conjugate_norm_trace(K5):
