@@ -1,12 +1,9 @@
-"""Constants, effective bounds, and non-vanishing certificates.
+"""Non-vanishing certificates for linear forms in Euler's series values.
 
-Everything here sits on top of the exact layers below it: the growth
-constants c1, c2 of a point configuration, the diagnostic sequence whose
-decay drives the pigeonhole argument, the explicit bound chain (margin
-function, its largest nonnegative integer, prime interval and exponent),
-the inverse of z*log(z), prime sums, the residue-class decay condition,
-reduction of order-<=2 linear recurrences to linear forms, and the
-certificate search itself.
+The certificate record and its JSON reader, the scan that issues one, the
+checker that re-derives it, the remainder of a Pade system at t = 1, and
+ready-made linear forms for the worked examples (order-<=2 recurrences,
+Fibonacci, even factorials).
 
 A certificate asserts only non-vanishing: the truncated linear form has a
 residue whose valuation sits strictly below a proven tail bound, which no
@@ -20,361 +17,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factorize, prime_range, primes_upto, squarefree_part
-from .errors import (
-    HeightTooSmallError,
-    InvalidModulusError,
-    OrderUnsupportedError,
-    PrecisionCapError,
-    RepeatedRootsError,
-    UnsupportedDescriptorError,
-)
+from .arith import prime_range, squarefree_part
+from .errors import OrderUnsupportedError, PrecisionCapError, RepeatedRootsError
 from .numfield import (
     FieldElement,
     QuadraticField,
     _algebraic_integer,
+    _validated_alphas,
     _validated_lambdas,
-    _validated_points,
-    arch_abs_normalized,
 )
-from .padics import PRECISION_CAP, linear_form_value
-from .places import Place, factorial_valuation, normalized_abs_log, places_above
+from .padics import PRECISION_CAP, CompletionElement, linear_form_value
+from .pade import PadeSystem
+from .places import Place, places_above
 
-
-# ---------------------------------------------------------------------------
-# valuation-set descriptors
-
-
-@dataclass(frozen=True)
-class ValuationSetDescriptor:
-    """A collection V of non-Archimedean places: everything, everything
-    except finitely many places, or the places over primes in given
-    residue classes."""
-
-    kind: str
-    excluded: tuple[Place, ...] = ()
-    modulus: int | None = None
-    classes: frozenset[int] | None = None
-
-    @classmethod
-    def all_places(cls) -> ValuationSetDescriptor:
-        return cls("all")
-
-    @classmethod
-    def cofinite(cls, excluded) -> ValuationSetDescriptor:
-        excluded = tuple(excluded)
-        if not all(isinstance(v, Place) for v in excluded):
-            raise ValueError("cofinite exclusions must be places")
-        return cls("cofinite", excluded)
-
-    @classmethod
-    def residue_classes(cls, n: int, classes) -> ValuationSetDescriptor:
-        if n < 3:
-            raise InvalidModulusError("the modulus must be at least 3")
-        classes = frozenset(int(c) % n for c in classes)
-        if not classes or any(math.gcd(c, n) != 1 for c in classes):
-            raise ValueError("classes must be nonempty and prime to the modulus")
-        return cls("residue_classes", (), n, classes)
-
-    def excludes_place(self, place: Place) -> bool:
-        if self.kind == "cofinite":
-            return place in self.excluded
-        if self.kind == "residue_classes":
-            return place.p % self.modulus not in self.classes
-        return False
-
-
-# ---------------------------------------------------------------------------
-# growth constants
-
-
-def _arch_value_table(K: QuadraticField, elems) -> list[list[float]]:
-    """Rows: Archimedean places of K; columns: normalized values of elems."""
-    per_elem = [arch_abs_normalized(K, e) for e in elems]
-    n_places = len(per_elem[0])
-    return [[per_elem[j][i][1] for j in range(len(elems))] for i in range(n_places)]
-
-
-def _validated_alphas(K: QuadraticField, alpha_vec) -> tuple[FieldElement, ...]:
-    alphas = _validated_points(alpha_vec, K.d)
-    for a in alphas:
-        _algebraic_integer(a, K.d)
-    return alphas
-
-
-def constants_c1_c2(
-    K: QuadraticField, alpha_vec, V: ValuationSetDescriptor
-) -> tuple[float, float]:
-    """The Archimedean constant c1 of the points and c2 = c1 * prod_{v in V}
-    max_j ||alpha_j||_v.
-
-    max_j ||alpha_j||_v < 1 needs w_v(alpha_j) > 0 for every j, so only
-    places over primes dividing every norm(alpha_j) can push the
-    non-Archimedean product below 1, and only the gcd of the norms is
-    factored.
-    """
-    alphas = _validated_alphas(K, alpha_vec)
-    m = len(alphas)
-    c1 = 1.0
-    for row in _arch_value_table(K, alphas):
-        big = max(1.0, max(row))
-        c1 *= big**m
-        for val in row:
-            c1 *= val + big
-    c2 = c1
-    for p in sorted(factorize(math.gcd(*(int(a.norm()) for a in alphas)))):
-        for v in places_above(K, p):
-            if V.excludes_place(v):
-                continue
-            c2 *= max(p ** -float(normalized_abs_log(v, a)) for a in alphas)
-    return c1, c2
-
-
-def limsup_sequence(
-    K: QuadraticField, alpha_vec, V: ValuationSetDescriptor, l_max: int
-) -> list[float]:
-    """log of c2^l (ml+m)^kappa (ml+m)! prod_{v in V} ||(ml)! l!||_v for l = 1..l_max.
-
-    With V cofinite the product over V is rewritten through the product
-    formula: the full product over all finite places is 1/((ml)! l!), and
-    each excluded place gives back its exact factorial valuation.  The
-    sequence is diagnostic evidence for the decay condition, not a proof.
-    """
-    if V.kind == "residue_classes":
-        raise UnsupportedDescriptorError(
-            "residue-class collections are judged by their decay slope instead"
-        )
-    _, c2 = constants_c1_c2(K, alpha_vec, V)
-    return _limsup_values(K.kappa, len(alpha_vec), c2, V, l_max)
-
-
-def _limsup_values(
-    kappa: int, m: int, c2: float, V: ValuationSetDescriptor, l_max: int
-) -> list[float]:
-    """limsup_sequence for m points whose constant c2 is already known."""
-    out = []
-    for l in range(1, l_max + 1):
-        a_l = (
-            l * math.log(c2)
-            + kappa * math.log(m * l + m)
-            + math.lgamma(m * l + m + 1)
-            - math.lgamma(m * l + 1)
-            - math.lgamma(l + 1)
-        )
-        for v in V.excluded:
-            vp = factorial_valuation(v.p, m * l) + factorial_valuation(v.p, l)
-            a_l += Fraction(v.kappa_v, kappa) * vp * math.log(v.p)
-        out.append(a_l)
-    return out
-
-
-def monotone_decrease_onset(values: list[float]) -> int | None:
-    """The first 1-based index from which the sequence strictly decreases."""
-    onset = 1
-    for k in range(1, len(values)):
-        if values[k] >= values[k - 1]:
-            onset = k + 1
-    return onset if onset < len(values) else None
-
-
-# ---------------------------------------------------------------------------
-# the effective bound chain
-
-
-def log_height_margin(l: int, m: int, kappa: int, c1: float, log_h: float) -> float:
-    """The margin function N(l) whose last nonnegative integer drives the bound.
-
-    N(l) = log H + (2(m+1) + 2m/l + log(c1)/loglog(l) + 1/loglog(l)
-           + (kappa - 1/2) log(l)/(l loglog(l)) + kappa log(m)/(l loglog(l))
-           + kappa log(m+1)/(l loglog(l)) + kappa/(l^2 loglog(l))) * l loglog(l)
-           - l log(l)
-    """
-    if l < 2:
-        raise ValueError("the margin function starts at l = 2")
-    ll = math.log(l)
-    lll = math.log(ll)
-    bracket = (
-        2 * (m + 1)
-        + 2 * m / l
-        + math.log(c1) / lll
-        + 1 / lll
-        + (kappa - 0.5) * ll / (l * lll)
-        + kappa * math.log(m) / (l * lll)
-        + kappa * math.log(m + 1) / (l * lll)
-        + kappa / (l * l * lll)
-    )
-    return log_h + bracket * l * lll - l * ll
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything the explicit lower-bound chain pins down for one height."""
-
-    m: int
-    kappa: int
-    c1: float
-    s: float
-    log_h: float
-    ell: int
-    n_ell: float
-    n_ell_plus_1: float
-    interval_lo: float
-    interval_hi: float
-    exponent: float
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "kappa": self.kappa,
-            "c1": self.c1,
-            "s": self.s,
-            "logH": self.log_h,
-            "ell": self.ell,
-            "N_ell": self.n_ell,
-            "N_ell_plus_1": self.n_ell_plus_1,
-            "interval_lo": self.interval_lo,
-            "interval_hi": self.interval_hi,
-            "exponent": self.exponent,
-        }
-
-
-def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport:
-    """Evaluate the explicit bound chain at height log H.
-
-    Computes s, scans for ell = max{l >= 2 : N(l) >= 0} (geometric bracket,
-    then binary search on the decreasing flank), and emits the prime
-    interval ]log(logH/loglogH), 17m logH/loglogH[ together with the
-    exponent (m+1) + 114 m^2 logloglogH/loglogH.  The containment of
-    [log(ell+1), m(ell+2)] in the interval is re-checked on every call.
-    """
-    if m < 1 or kappa < 1:
-        raise ValueError("need m >= 1 and kappa >= 1")
-    s = max(math.e**kappa + 1, c1 + 1, (m + 3) ** 2 + 1)
-    if log_h < s * math.exp(s):
-        raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
-
-    def margin(l: int) -> float:
-        return log_height_margin(l, m, kappa, c1, log_h)
-
-    if margin(2) < 0:
-        raise HeightTooSmallError("the margin function is already negative at l = 2")
-    lo, hi = 2, 4
-    while margin(hi) >= 0:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if margin(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    ell = lo
-
-    loglog_h = math.log(log_h)
-    interval_lo = math.log(log_h / loglog_h)
-    interval_hi = 17 * m * log_h / loglog_h
-    exponent = (m + 1) + 114 * m * m * math.log(loglog_h) / loglog_h
-    if not (interval_lo < math.log(ell + 1) and m * (ell + 2) < interval_hi):
-        raise RuntimeError("interval containment failed; bound chain inconsistent")
-    return BoundReport(
-        m, kappa, c1, s, log_h, ell, margin(ell), margin(ell + 1),
-        interval_lo, interval_hi, exponent,
-    )
-
-
-#: z_inverse stops once successive iterates agree to this relative tolerance,
-#: or after Z_INVERSE_MAX_ITER steps
-Z_INVERSE_REL_TOL = 1e-12
-Z_INVERSE_MAX_ITER = 100000
-
-
-def z_inverse(y: float) -> tuple[float, list[float]]:
-    """Invert z*log(z) = y for y >= e by the nested-logarithm iteration.
-
-    z_0 = y, z_n = y / log(z_{n-1}); odd iterates climb from below and even
-    iterates descend from above, squeezing the fixed point.  Returns the
-    limit and the iterate list.
-    """
-    if y < math.e:
-        raise ValueError("y must be at least e")
-    iterates = [y]
-    z = y
-    for _ in range(Z_INVERSE_MAX_ITER):
-        nz = y / math.log(z)
-        iterates.append(nz)
-        if abs(nz - z) <= Z_INVERSE_REL_TOL * abs(nz):
-            z = nz
-            break
-        z = nz
-    if abs(z * math.log(z) - y) > 1e-9 * abs(y):
-        raise RuntimeError(f"iteration failed to invert z*log(z) = {y}")
-    return z, iterates
-
-
-def mertens_sum(x: float) -> tuple[float, bool]:
-    """(sum_{p<=x} log(p)/(p-1), whether sum_{p<=x} log(p)/p < log(x))."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    total, check = 0.0, 0.0
-    for p in primes_upto(int(math.floor(x))):
-        total += math.log(p) / (p - 1)
-        check += math.log(p) / p
-    return total, check < math.log(x)
-
-
-def residue_condition(n: int, r: int, m: int) -> tuple[bool, float]:
-    """Whether r residue classes mod n force the decay, and the slope
-    m - r(m+1)/phi(n) of the leading l*log(l) term (negative iff ok)."""
-    if n < 3:
-        raise InvalidModulusError("the modulus must be at least 3")
-    phi = euler_phi(n)
-    if not 1 <= r <= phi:
-        raise ValueError(f"r must be within 1..phi({n}) = {phi}")
-    ok = r * (m + 1) > m * phi
-    slope = m - r * (m + 1) / phi
-    return ok, slope
-
-
-# ---------------------------------------------------------------------------
-# linear recurrences
-
-
-def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...], int]:
-    """Reduce x_n = c_1 x_{n-1} + ... + c_k x_{n-k} (k <= 2, distinct roots)
-    to sum_i b_i F(alpha_i) = d * sum_n n! x_n.
-
-    The characteristic roots alpha_i are algebraic integers (the polynomial
-    is monic with integer coefficients); the solution weights a_i are solved
-    exactly, d clears their denominators, and b_i = d*a_i.
-    """
-    c_vec = tuple(int(c) for c in c_vec)
-    init = tuple(int(x) for x in init)
-    k = len(c_vec)
-    if k > 2:
-        raise OrderUnsupportedError("only recurrences of order <= 2 are reduced")
-    if k == 0 or c_vec[-1] == 0:
-        raise ValueError("the leading recurrence coefficient c_k must be nonzero")
-    if len(init) != k:
-        raise ValueError(f"expected {k} initial values")
-    if k == 1:
-        K = QuadraticField()
-        return (K(c_vec[0]),), (K(init[0]),), 1
-    c1, c2 = c_vec
-    disc = c1 * c1 + 4 * c2
-    if disc == 0:
-        raise RepeatedRootsError("the characteristic polynomial has a double root")
-    s = squarefree_part(disc)
-    f = math.isqrt(disc // s)
-    if s == 1:
-        K = QuadraticField()
-        r1, r2 = K(Fraction(c1 + f, 2)), K(Fraction(c1 - f, 2))
-    else:
-        K = QuadraticField(s)
-        r1, r2 = K(Fraction(c1, 2), Fraction(f, 2)), K(Fraction(c1, 2), Fraction(-f, 2))
-    x0, x1 = K(init[0]), K(init[1])
-    a1 = (x1 - x0 * r2) / (r1 - r2)
-    a2 = x0 - a1
-    d = math.lcm(a1.denominator(), a2.denominator())
-    return (r1, r2), (a1 * d, a2 * d), d
+# not used here: perfbench's tracer looks these four spans up on this module
+from .bounds import constants_c1_c2, effective_bounds, limsup_sequence, residue_condition  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +162,7 @@ def certify_nonvanishing(
     re-verified at four more digits and returned; running out of places
     yields an "undetermined" certificate, never a claim of vanishing.
     """
-    alphas = _validated_alphas(K, alpha_vec)
+    alphas = _validated_alphas(alpha_vec, K.d)
     lambdas = _validated_lambdas(lambda_vec, len(alphas), K.d)
     for c in lambdas:
         _algebraic_integer(c, K.d)
@@ -572,7 +229,67 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Pade remainders
+
+
+def remainder_at_unity(system: PadeSystem, v: Place, j: int, precision: int) -> CompletionElement:
+    """The residue mod p^precision of s_{l,mu,j} = B_0(1) F_v(alpha_j) - B_j(1).
+
+    The infinite remainder series is never summed directly: s_{l,mu,j} is
+    the linear form (-B_j(1), B_0(1)) at the one point alpha_j, and the
+    listed precision is honest because B_0(1) and B_j(1) are algebraic
+    integers.  Systems over any other P are refused, since their B_0
+    multiplies another series.
+    """
+    if (system.p0, system.p1) != (1, 1):
+        raise ValueError("remainder_at_unity needs Euler's series, P(x) = 1 + x")
+    if not 1 <= j <= system.m:
+        raise ValueError(f"j must be in 1..{system.m}")
+    lambdas = (-system.B[j](1), system.B[0](1))
+    return linear_form_value(lambdas, (system.alpha[j - 1],), v, precision)[0]
+
+
+# ---------------------------------------------------------------------------
 # ready-made linear forms for the worked examples
+
+
+def recurrence_to_linear_form(c_vec, init) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...], int]:
+    """Reduce x_n = c_1 x_{n-1} + ... + c_k x_{n-k} (k <= 2, distinct roots)
+    to sum_i b_i F(alpha_i) = d * sum_n n! x_n.
+
+    The characteristic roots alpha_i are algebraic integers (the polynomial
+    is monic with integer coefficients); the solution weights a_i are solved
+    exactly, d clears their denominators, and b_i = d*a_i.
+    """
+    c_vec = tuple(int(c) for c in c_vec)
+    init = tuple(int(x) for x in init)
+    k = len(c_vec)
+    if k > 2:
+        raise OrderUnsupportedError("only recurrences of order <= 2 are reduced")
+    if k == 0 or c_vec[-1] == 0:
+        raise ValueError("the leading recurrence coefficient c_k must be nonzero")
+    if len(init) != k:
+        raise ValueError(f"expected {k} initial values")
+    if k == 1:
+        K = QuadraticField()
+        return (K(c_vec[0]),), (K(init[0]),), 1
+    c1, c2 = c_vec
+    disc = c1 * c1 + 4 * c2
+    if disc == 0:
+        raise RepeatedRootsError("the characteristic polynomial has a double root")
+    s = squarefree_part(disc)
+    f = math.isqrt(disc // s)
+    if s == 1:
+        K = QuadraticField()
+        r1, r2 = K(Fraction(c1 + f, 2)), K(Fraction(c1 - f, 2))
+    else:
+        K = QuadraticField(s)
+        r1, r2 = K(Fraction(c1, 2), Fraction(f, 2)), K(Fraction(c1, 2), Fraction(-f, 2))
+    x0, x1 = K(init[0]), K(init[1])
+    a1 = (x1 - x0 * r2) / (r1 - r2)
+    a2 = x0 - a1
+    d = math.lcm(a1.denominator(), a2.denominator())
+    return (r1, r2), (a1 * d, a2 * d), d
 
 
 def fibonacci_linear_form(a: int, b: int):

@@ -23,17 +23,19 @@ import sys
 from pathlib import Path
 
 from .arith import is_prime
-from .certify import (
+from .bounds import (
     ValuationSetDescriptor,
     _limsup_values,
-    certificate_from_json,
-    certify_nonvanishing,
     constants_c1_c2,
-    even_factorial_linear_form,
-    fibonacci_linear_form,
+    effective_bounds,
     monotone_decrease_onset,
     residue_condition,
-    effective_bounds,
+)
+from .certify import (
+    certificate_from_json,
+    certify_nonvanishing,
+    even_factorial_linear_form,
+    fibonacci_linear_form,
     verify_certificate,
 )
 from .errors import EulerPadeError, InvalidPrimeError, PrecisionCapError

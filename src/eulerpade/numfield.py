@@ -308,6 +308,14 @@ def _algebraic_integer(value, d) -> FieldElement:
     return elem
 
 
+def _validated_alphas(alpha_vec, d) -> tuple[FieldElement, ...]:
+    """Evaluation points that are nonzero, pairwise distinct algebraic integers."""
+    alphas = _validated_points(alpha_vec, d)
+    for a in alphas:
+        _algebraic_integer(a, d)
+    return alphas
+
+
 def _validated_lambdas(lambda_vec, m: int, d) -> tuple[FieldElement, ...]:
     """The m + 1 coefficients of a linear form as elements of Q(sqrt(d)), not all zero."""
     lambdas = tuple(_as_elem(c, d) for c in lambda_vec)

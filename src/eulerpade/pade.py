@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatchError
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
-from .padics import CompletionElement, linear_form_value
-from .places import Place
 from .polys import Poly, _exact_quotient, _factorial_series_product
 
 
@@ -87,24 +85,6 @@ def sigma_annihilation_check(sv: SigmaVector, j: int, k: int) -> FieldElement:
         acc = acc + sig * (i**k) * power
         power = power * bj
     return acc
-
-
-def operator_weights(n: int) -> list[int]:
-    """Weights a_{n,1..n} with (x d/dx)^n = sum_i a_{n,i} x^i (d/dx)^i.
-
-    Recursion: a_{n,1} = a_{n,n} = 1 and a_{n,i} = a_{n-1,i-1} + i*a_{n-1,i}.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    row = [1]
-    for _ in range(n - 1):
-        prev = row
-        row = []
-        for i in range(1, len(prev) + 2):
-            left = prev[i - 2] if i >= 2 else 0
-            right = prev[i - 1] if i <= len(prev) else 0
-            row.append(left + i * right)
-    return row
 
 
 @dataclass(frozen=True)
@@ -349,19 +329,3 @@ def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:
             return mu, w
     raise RuntimeError("no mu produced a nonzero W; determinant nonvanishing violated")
 
-
-def remainder_at_unity(system: PadeSystem, v: Place, j: int, precision: int) -> CompletionElement:
-    """The residue mod p^precision of s_{l,mu,j} = B_0(1) F_v(alpha_j) - B_j(1).
-
-    The infinite remainder series is never summed directly: s_{l,mu,j} is
-    the linear form (-B_j(1), B_0(1)) at the one point alpha_j, and the
-    listed precision is honest because B_0(1) and B_j(1) are algebraic
-    integers.  Systems over any other P are refused, since their B_0
-    multiplies another series.
-    """
-    if (system.p0, system.p1) != (1, 1):
-        raise ValueError("remainder_at_unity needs Euler's series, P(x) = 1 + x")
-    if not 1 <= j <= system.m:
-        raise ValueError(f"j must be in 1..{system.m}")
-    lambdas = (-system.B[j](1), system.B[0](1))
-    return linear_form_value(lambdas, (system.alpha[j - 1],), v, precision)[0]

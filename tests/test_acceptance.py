@@ -26,15 +26,12 @@ from eulerpade.places import (
     product_formula_defect,
 )
 from eulerpade.padics import euler_eval_certified
+from eulerpade.bounds import ValuationSetDescriptor, constants_c1_c2, effective_bounds, z_inverse
 from eulerpade.certify import (
-    ValuationSetDescriptor,
     certify_nonvanishing,
-    constants_c1_c2,
     even_factorial_linear_form,
     fibonacci_linear_form,
-    effective_bounds,
     verify_certificate,
-    z_inverse,
 )
 
 from conftest import random_integral_element

@@ -16,28 +16,31 @@ from eulerpade.errors import (
     UnsupportedDescriptorError,
 )
 from eulerpade.numfield import QuadraticField
-from eulerpade.pade import pade_construct, remainder_at_unity, select_mu
+from eulerpade.pade import pade_construct, select_mu
 from eulerpade.padics import PRECISION_CAP, CompletionElement, euler_eval_certified
 from eulerpade.places import Place, factorial_valuation, places_above, valuation
 import eulerpade.padics as padics
-from eulerpade.certify import (
-    VERIFY_EXTRA_DIGITS,
+from eulerpade.bounds import (
     ValuationSetDescriptor,
-    certificate_from_json,
-    certify_nonvanishing,
     constants_c1_c2,
-    even_factorial_linear_form,
-    fibonacci_linear_form,
+    effective_bounds,
     limsup_sequence,
-    linear_form_value,
     log_height_margin,
     mertens_sum,
     monotone_decrease_onset,
-    recurrence_to_linear_form,
     residue_condition,
-    effective_bounds,
-    verify_certificate,
     z_inverse,
+)
+from eulerpade.certify import (
+    VERIFY_EXTRA_DIGITS,
+    certificate_from_json,
+    certify_nonvanishing,
+    even_factorial_linear_form,
+    fibonacci_linear_form,
+    linear_form_value,
+    recurrence_to_linear_form,
+    remainder_at_unity,
+    verify_certificate,
 )
 
 from conftest import random_integral_element, residue_add, residue_mul

@@ -11,12 +11,8 @@ import pytest
 
 import eulerpade
 from eulerpade import cli
-from eulerpade.certify import (
-    ValuationSetDescriptor,
-    certificate_from_json,
-    limsup_sequence,
-    verify_certificate,
-)
+from eulerpade.bounds import ValuationSetDescriptor, limsup_sequence
+from eulerpade.certify import certificate_from_json, verify_certificate
 from eulerpade.cli import build_parser, main
 from eulerpade.errors import CutoffTooSmallError, InvalidPrimeError, PrecisionCapError
 from eulerpade.numfield import QuadraticField

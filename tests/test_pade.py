@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import eulerpade
-from eulerpade import pade
+from eulerpade import bounds, certify, pade
+from eulerpade.certify import remainder_at_unity
 from eulerpade.errors import (
     AllLambdaZeroError,
     CutoffTooSmallError,
@@ -19,12 +20,10 @@ from eulerpade.errors import (
 from eulerpade.numfield import QuadraticField, arch_abs_normalized
 from eulerpade.pade import (
     _poly_det,
-    operator_weights,
     pade_construct,
     pade_determinant,
     pade_generic,
     pade_order_check,
-    remainder_at_unity,
     select_mu,
     sigma_annihilation_check,
     sigma_coeffs,
@@ -70,28 +69,6 @@ def test_sigma_annihilation_random_unequal():
         for j in range(1, m + 1):
             for k in range(l_vec[j - 1]):
                 assert not sigma_annihilation_check(sv, j, k)
-
-
-def test_operator_weights_base_cases():
-    assert operator_weights(1) == [1]
-    assert operator_weights(3) == [1, 3, 1]
-    rows = [operator_weights(n) for n in range(1, 7)]
-    assert all(r[0] == 1 and r[-1] == 1 for r in rows)
-
-
-def test_operator_weights_monomial_oracle():
-    # (x d/dx)^n x^k = k^n x^k, and (d/dx)^i x^k = k(k-1)...(k-i+1) x^(k-i),
-    # so sum_i a_{n,i} * falling(k, i) must equal k^n
-    for n in range(1, 7):
-        weights = operator_weights(n)
-        for k in range(5):
-            total = 0
-            for i, a in enumerate(weights, start=1):
-                falling = 1
-                for step in range(i):
-                    falling *= k - step
-                total += a * falling
-            assert total == k**n
 
 
 def test_pade_construct_minimal_example():
@@ -335,12 +312,13 @@ def test_exports_complete():
     for name in eulerpade.__all__:
         assert getattr(eulerpade, name) is not None, name
     assert len(set(eulerpade.__all__)) == len(eulerpade.__all__)
-    defined = {
-        name for name, obj in vars(pade).items()
-        if not name.startswith("_") and getattr(obj, "__module__", None) == pade.__name__
-    }
-    assert "PadeSystem" in defined
-    assert defined <= set(eulerpade.__all__)
+    for module, sample in ((pade, "PadeSystem"), (bounds, "BoundReport"), (certify, "Certificate")):
+        defined = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+        }
+        assert sample in defined
+        assert defined <= set(eulerpade.__all__), module.__name__
 
 
 def test_determinant_minimal():

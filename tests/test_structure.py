@@ -29,3 +29,48 @@ def test_only_padics_knows_the_residue_law():
         if p.stem != "padics" and (names := _private_padics_imports(p))
     }
     assert leaks == {}
+
+
+#: the package modules each module may import.  errors sits under every
+#: layer; arith < numfield < places < padics and numfield < polys < pade
+#: are chains, bounds rests on places, certify on every layer, and cli on
+#: anything
+LAYERS = {
+    "errors": set(),
+    "arith": {"errors"},
+    "numfield": {"errors", "arith"},
+    "places": {"errors", "arith", "numfield"},
+    "padics": {"errors", "arith", "numfield", "places"},
+    "polys": {"errors", "arith", "numfield"},
+    "pade": {"errors", "arith", "numfield", "polys"},
+    "bounds": {"errors", "arith", "numfield", "places"},
+}
+LAYERS["certify"] = set(LAYERS)
+LAYERS["cli"] = set(LAYERS)
+LAYERS["__init__"] = set(LAYERS) - {"__init__"}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The eulerpade modules that one module imports, by name; "eulerpade"
+    stands for the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+            names |= {f"eulerpade.{module}" for module in modules}
+    return {n.removeprefix("eulerpade.") for n in names if n.split(".")[0] == "eulerpade"}
+
+
+def test_each_module_imports_only_its_lower_layers():
+    modules = {p.stem: p for p in SRC.glob("*.py")}
+    breaches = {
+        name: sorted(extra)
+        for name, path in modules.items()
+        if (extra := _package_imports(path) - LAYERS.get(name, set()))
+    }
+    assert breaches == {}
+    assert set(modules) == set(LAYERS)  # a new module takes its place here
