@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import euler_phi, factorize, primes_upto
-from .errors import HeightTooSmallError, InvalidModulusError, UnsupportedDescriptorError
+from .errors import (
+    HeightTooSmallError,
+    InvalidModulusError,
+    PrecisionCapError,
+    UnsupportedDescriptorError,
+)
 from .numfield import QuadraticField, _validated_alphas, arch_abs_normalized
 from .places import Place, factorial_valuation, normalized_abs_log, places_above
 
@@ -78,7 +83,7 @@ def constants_c1_c2(
     K: QuadraticField, alpha_vec, V: ValuationSetDescriptor
 ) -> tuple[float, float]:
     """The Archimedean constant c1 of the points and c2 = c1 * prod_{v in V}
-    max_j ||alpha_j||_v.
+    max_j ||alpha_j||_v, or PrecisionCapError when c1 overflows a double.
 
     max_j ||alpha_j||_v < 1 needs w_v(alpha_j) > 0 for every j, so only
     places over primes dividing every norm(alpha_j) can push the
@@ -87,12 +92,17 @@ def constants_c1_c2(
     """
     alphas = _validated_alphas(alpha_vec, K.d)
     m = len(alphas)
-    c1 = 1.0
-    for row in _arch_value_table(K, alphas):
-        big = max(1.0, max(row))
-        c1 *= big**m
-        for val in row:
-            c1 *= val + big
+    try:
+        c1 = 1.0
+        for row in _arch_value_table(K, alphas):
+            big = max(1.0, max(row))
+            c1 *= big**m
+            for val in row:
+                c1 *= val + big
+    except OverflowError:
+        c1 = math.inf
+    if math.isinf(c1):
+        raise PrecisionCapError("c1 of these points leaves the double range")
     c2 = c1
     for p in sorted(factorize(math.gcd(*(int(a.norm()) for a in alphas)))):
         for v in places_above(K, p):
@@ -218,39 +228,48 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
     interval ]log(logH/loglogH), 17m logH/loglogH[ together with the
     exponent (m+1) + 114 m^2 logloglogH/loglogH.  The containment of
     [log(ell+1), m(ell+2)] in the interval is re-checked on every call.
+    c1 must be finite and positive and log_h finite; a step whose double
+    overflows raises PrecisionCapError.
     """
     if m < 1 or kappa < 1:
         raise ValueError("need m >= 1 and kappa >= 1")
-    s = max(math.e**kappa + 1, c1 + 1, (m + 3) ** 2 + 1)
-    if log_h < s * math.exp(s):
-        raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
+    if not math.isfinite(log_h):
+        raise ValueError(f"log_h must be finite, got {log_h}")
+    try:
+        s = max(math.e**kappa + 1, c1 + 1, (m + 3) ** 2 + 1)
+        if log_h < s * math.exp(s):
+            raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
 
-    def margin(l: int) -> float:
-        return log_height_margin(l, m, kappa, c1, log_h)
+        def margin(l: int) -> float:
+            return log_height_margin(l, m, kappa, c1, log_h)
 
-    if margin(2) < 0:
-        raise HeightTooSmallError("the margin function is already negative at l = 2")
-    lo, hi = 2, 4
-    while margin(hi) >= 0:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if margin(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    ell = lo
+        if margin(2) < 0:
+            raise HeightTooSmallError("the margin function is already negative at l = 2")
+        lo, hi = 2, 4
+        while margin(hi) >= 0:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if margin(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        ell = lo
 
-    loglog_h = math.log(log_h)
-    interval_lo = math.log(log_h / loglog_h)
-    interval_hi = 17 * m * log_h / loglog_h
-    exponent = (m + 1) + 114 * m * m * math.log(loglog_h) / loglog_h
-    if not (interval_lo < math.log(ell + 1) and m * (ell + 2) < interval_hi):
-        raise RuntimeError("interval containment failed; bound chain inconsistent")
-    return BoundReport(
-        m, kappa, c1, s, log_h, ell, margin(ell), margin(ell + 1),
-        interval_lo, interval_hi, exponent,
-    )
+        loglog_h = math.log(log_h)
+        interval_lo = math.log(log_h / loglog_h)
+        interval_hi = 17 * m * log_h / loglog_h
+        exponent = (m + 1) + 114 * m * m * math.log(loglog_h) / loglog_h
+        if not (interval_lo < math.log(ell + 1) and m * (ell + 2) < interval_hi):
+            raise RuntimeError("interval containment failed; bound chain inconsistent")
+        return BoundReport(
+            m, kappa, c1, s, log_h, ell, margin(ell), margin(ell + 1),
+            interval_lo, interval_hi, exponent,
+        )
+    except OverflowError:
+        raise PrecisionCapError(f"the bound chain at log H = {log_h:g} leaves the double range") from None
 
 
 #: z_inverse stops once successive iterates agree to this relative tolerance,

@@ -88,10 +88,27 @@ def _string_list(obj: dict, key: str) -> list:
     return value
 
 
+def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
+    """The scan's input rules: m nonzero, pairwise distinct algebraic-integer
+    alphas and m + 1 algebraic-integer lambdas, not all zero.  A refusal
+    names the vector it is about."""
+    try:
+        alphas = _validated_alphas(alpha_vec, d)
+    except ValueError as exc:
+        raise type(exc)(f"alphas: {exc}") from None
+    try:
+        lambdas = _validated_lambdas(lambda_vec, len(alphas), d)
+        for c in lambdas:
+            _algebraic_integer(c, d)
+    except ValueError as exc:
+        raise type(exc)(f"lambdas: {exc}") from None
+    return lambdas, alphas
+
+
 def certificate_from_json(obj: dict) -> Certificate:
     """Read back a to_json() record, refusing an unknown status, a field_d
     that is neither null nor an int, lambdas or alphas that are not lists of
-    strings, a count of lambdas other than m + 1, a place whose p is not an
+    strings or that break the scan's input rules, a place whose p is not an
     int, a place that places_above(K, p) does not list or whose e and f are
     not that place's, a prime other than the place's p (null without a
     place), a precision that is not an int, and a nonzero claim with a gap
@@ -114,9 +131,9 @@ def certificate_from_json(obj: dict) -> Certificate:
     if field_d is not None and type(field_d) is not int:
         raise ValueError(f"field_d must be null or an int, got {field_d!r}")
     K = QuadraticField(field_d)
-    alphas = tuple(K.parse(s) for s in _string_list(obj, "alphas"))
+    alphas = [K.parse(s) for s in _string_list(obj, "alphas")]
     lambdas = [K.parse(s) for s in _string_list(obj, "lambdas")]
-    lambdas = _validated_lambdas(lambdas, len(alphas), K.d)
+    lambdas, alphas = _validated_form(lambdas, alphas, K.d)
     place, p = None, None
     if obj["place"] is not None:
         p, splitting = obj["place"]["p"], obj["place"]["splitting"]
@@ -162,10 +179,7 @@ def certify_nonvanishing(
     re-verified at four more digits and returned; running out of places
     yields an "undetermined" certificate, never a claim of vanishing.
     """
-    alphas = _validated_alphas(alpha_vec, K.d)
-    lambdas = _validated_lambdas(lambda_vec, len(alphas), K.d)
-    for c in lambdas:
-        _algebraic_integer(c, K.d)
+    lambdas, alphas = _validated_form(lambda_vec, alpha_vec, K.d)
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     for p in prime_range(max(2, p_min), p_max):
@@ -199,7 +213,7 @@ def verify_certificate(cert: Certificate) -> bool:
     tail bound.  Undetermined certificates claim nothing and verify
     vacuously; any other status does not verify, and neither does a nonzero
     certificate with a claim field missing or mistyped, or with lambdas and
-    alphas that are not tuples of m + 1 and m entries.
+    alphas that are not tuples of m + 1 and m entries the scan would take.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
@@ -211,10 +225,13 @@ def verify_certificate(cert: Certificate) -> bool:
         and isinstance(cert.tail_valuation_bound, (int, Fraction))
         and isinstance(cert.lambdas, tuple)
         and isinstance(cert.alphas, tuple)
-        and len(cert.lambdas) == len(cert.alphas) + 1
     ):
         return False
     if v not in places_above(QuadraticField(cert.field_d), v.p):
+        return False
+    try:
+        _validated_form(cert.lambdas, cert.alphas, cert.field_d)
+    except ValueError:
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
     value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)

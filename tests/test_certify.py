@@ -12,6 +12,7 @@ from eulerpade.errors import (
     InvalidModulusError,
     InvalidPrimeError,
     OrderUnsupportedError,
+    PrecisionCapError,
     RepeatedRootsError,
     UnsupportedDescriptorError,
 )
@@ -164,6 +165,28 @@ def test_effective_bounds_bracket_many_heights():
 def test_effective_bounds_height_too_small():
     with pytest.raises(HeightTooSmallError):
         effective_bounds(1, 1, 2.0, 1e6)
+
+
+@pytest.mark.parametrize(
+    "c1, log_h, name",
+    [(2.0, math.nan, "log_h"), (2.0, math.inf, "log_h"), (2.0, -math.inf, "log_h"),
+     (math.nan, 1e10, "c1"), (math.inf, 1e10, "c1"), (0.0, 1e10, "c1"), (-2.0, 1e10, "c1")],
+)
+def test_effective_bounds_refuses_a_bad_c1_or_height(c1, log_h, name):
+    with pytest.raises(ValueError, match=name):
+        effective_bounds(1, 1, c1, log_h)
+
+
+@pytest.mark.parametrize("m, kappa, c1, log_h", [(1, 1, 2.0, 1e200), (2, 2, 3.0, 1e250), (1, 800, 2.0, 1e10)])
+def test_effective_bounds_past_the_double_range_is_refused(m, kappa, c1, log_h):
+    with pytest.raises(PrecisionCapError, match="double range"):
+        effective_bounds(m, kappa, c1, log_h)
+
+
+@pytest.mark.parametrize("alphas", [[10**200, 3], [2**1100, -1]])
+def test_c1_past_the_double_range_is_refused(KQ, alphas):
+    with pytest.raises(PrecisionCapError, match="double range"):
+        constants_c1_c2(KQ, alphas, ValuationSetDescriptor.all_places())
 
 
 def test_z_inverse_fixed_points():
@@ -486,6 +509,30 @@ def test_certificate_record_of_a_different_form_is_refused(key, extra):
     obj[key].append(extra)
     with pytest.raises(ValueError, match="linear-form coefficients"):
         certificate_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [("lambdas", ["1/2", "0,-1", "0,1"]), ("lambdas", ["5", "0,1/2", "0,1"]),
+     ("alphas", ["1/3,1/3", "1/3,1/3"]), ("alphas", ["1/2,1/2", "1/2,1/2"]), ("alphas", ["0", "1/2,-1/2"])],
+)
+def test_certificate_record_outside_the_scan_rules_is_refused(key, values):
+    # the reader takes only what certify_nonvanishing takes, so the checker
+    # never meets a form it cannot evaluate
+    obj = _fib_record()
+    obj[key] = values
+    with pytest.raises(ValueError, match=key):
+        certificate_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "key, index, coords", [("lambdas", 0, (Fraction(1, 2), 0)), ("alphas", 1, (Fraction(1, 3), 1))]
+)
+def test_certificate_with_a_non_integral_entry_does_not_verify(K5, key, index, coords):
+    cert = certificate_from_json(_fib_record())
+    entries = list(getattr(cert, key))
+    entries[index] = K5(*coords)
+    assert verify_certificate(dataclasses.replace(cert, **{key: tuple(entries)})) is False
 
 
 def test_certificate_record_with_a_composite_prime_is_refused():

@@ -56,6 +56,25 @@ def test_bounds_example(capsys):
     assert payload["N_ell"] >= 0 > payload["N_ell_plus_1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "1e200", "--json"],
+        ["bounds", "--m", "2", "--kappa", "2", "--c1", "3", "--logH", "1e250"],
+        ["limsup", "--alphas", "1" + "0" * 200 + ";3", "--lmax", "5"],
+        ["limsup", "--alphas", str(2**1100) + ";-1", "--lmax", "8", "--json"],
+        ["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "nan"],
+        ["bounds", "--m", "1", "--kappa", "1", "--c1", "nan", "--logH", "1e10"],
+        ["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "inf"],
+    ],
+)
+def test_bound_chain_outside_the_double_range_is_an_input_error(capsys, argv):
+    # these once ended in OverflowError or RuntimeError tracebacks
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("eulerpade: error: ")
+
+
 def test_fib_certificate(capsys):
     code, out, _ = run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--pmax", "50", "--json"])
     assert code == 0
