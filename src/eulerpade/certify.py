@@ -213,7 +213,7 @@ def verify_certificate(cert: Certificate) -> bool:
     tail bound.  Undetermined certificates claim nothing and verify
     vacuously; any other status does not verify, and neither does a nonzero
     certificate with a claim field missing or mistyped, or with lambdas and
-    alphas that are not tuples of m + 1 and m entries the scan would take.
+    alphas that are not tuples of m + 1 and m algebraic integers.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
@@ -225,12 +225,14 @@ def verify_certificate(cert: Certificate) -> bool:
         and isinstance(cert.tail_valuation_bound, (int, Fraction))
         and isinstance(cert.lambdas, tuple)
         and isinstance(cert.alphas, tuple)
+        and len(cert.lambdas) == len(cert.alphas) + 1
     ):
         return False
     if v not in places_above(QuadraticField(cert.field_d), v.p):
         return False
     try:
-        _validated_form(cert.lambdas, cert.alphas, cert.field_d)
+        for x in cert.lambdas + cert.alphas:
+            _algebraic_integer(x, cert.field_d)
     except ValueError:
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
