@@ -212,8 +212,9 @@ def verify_certificate(cert: Certificate) -> bool:
     the residue must reproduce exactly and still sit below the (now larger)
     tail bound.  Undetermined certificates claim nothing and verify
     vacuously; any other status does not verify, and neither does a nonzero
-    certificate with a claim field missing or mistyped, or with lambdas and
-    alphas that are not tuples of m + 1 and m algebraic integers.
+    certificate with a claim field missing or mistyped, a field_d that names
+    no field, or lambdas and alphas that are not tuples of m + 1 and m
+    algebraic integers.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
@@ -228,12 +229,12 @@ def verify_certificate(cert: Certificate) -> bool:
         and len(cert.lambdas) == len(cert.alphas) + 1
     ):
         return False
-    if v not in places_above(QuadraticField(cert.field_d), v.p):
-        return False
     try:
+        if v not in places_above(QuadraticField(cert.field_d), v.p):
+            return False
         for x in cert.lambdas + cert.alphas:
             _algebraic_integer(x, cert.field_d)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
     value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)

@@ -525,14 +525,19 @@ def test_certificate_record_outside_the_scan_rules_is_refused(key, values):
         certificate_from_json(obj)
 
 
-@pytest.mark.parametrize(
-    "key, index, coords", [("lambdas", 0, (Fraction(1, 2), 0)), ("alphas", 1, (Fraction(1, 3), 1))]
-)
-def test_certificate_with_a_non_integral_entry_does_not_verify(K5, key, index, coords):
+_BAD_ENTRIES = {
+    "non-integral lambda": lambda cert: {"lambdas": (cert.lambdas[0] / 2,) + cert.lambdas[1:]},
+    "non-integral alpha": lambda cert: {"alphas": (cert.alphas[0], cert.alphas[1] / 3)},
+    "lambda that is no number": lambda cert: {"lambdas": (None,) + cert.lambdas[1:]},
+    "field_d that names no field": lambda cert: {"field_d": 4},
+}
+
+
+@pytest.mark.parametrize("bad_entry", _BAD_ENTRIES.values(), ids=_BAD_ENTRIES.keys())
+def test_certificate_built_with_a_bad_entry_does_not_verify(bad_entry):
+    # the checker answers False where the evaluator would raise
     cert = certificate_from_json(_fib_record())
-    entries = list(getattr(cert, key))
-    entries[index] = K5(*coords)
-    assert verify_certificate(dataclasses.replace(cert, **{key: tuple(entries)})) is False
+    assert verify_certificate(dataclasses.replace(cert, **bad_entry(cert))) is False
 
 
 def test_certificate_record_with_a_composite_prime_is_refused():
