@@ -81,11 +81,15 @@ def _claimable_precision(precision) -> bool:
     return type(precision) is int and 1 <= precision <= PRECISION_CAP - VERIFY_EXTRA_DIGITS
 
 
-def _string_list(obj: dict, key: str) -> list:
+def _parsed_list(obj: dict, key: str, K: QuadraticField) -> list[FieldElement]:
+    """obj[key], a list of strings, parsed as elements of K; a refusal names the key."""
     value = obj[key]
     if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return value
+    try:
+        return [K.parse(s) for s in value]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
@@ -108,11 +112,12 @@ def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...],
 def certificate_from_json(obj: dict) -> Certificate:
     """Read back a to_json() record, refusing an unknown status, a field_d
     that is neither null nor an int, lambdas or alphas that are not lists of
-    strings or that break the scan's input rules, a place whose p is not an
-    int, a place that places_above(K, p) does not list or whose e and f are
-    not that place's, a prime other than the place's p (null without a
-    place), a precision that is not an int, and a nonzero claim with a gap
-    or with a precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
+    strings, that do not parse or that break the scan's input rules, a place
+    whose p is not an int, a place that places_above(K, p) does not list or
+    whose e and f are not that place's, a prime other than the place's p
+    (null without a place), a precision that is not an int, and a nonzero
+    claim with a gap or with a precision outside
+    1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
     status = obj["status"]
     if status not in ("nonzero", "undetermined"):
         raise ValueError(f"unknown certificate status {status!r}")
@@ -131,8 +136,8 @@ def certificate_from_json(obj: dict) -> Certificate:
     if field_d is not None and type(field_d) is not int:
         raise ValueError(f"field_d must be null or an int, got {field_d!r}")
     K = QuadraticField(field_d)
-    alphas = [K.parse(s) for s in _string_list(obj, "alphas")]
-    lambdas = [K.parse(s) for s in _string_list(obj, "lambdas")]
+    alphas = _parsed_list(obj, "alphas", K)
+    lambdas = _parsed_list(obj, "lambdas", K)
     lambdas, alphas = _validated_form(lambdas, alphas, K.d)
     place, p = None, None
     if obj["place"] is not None:

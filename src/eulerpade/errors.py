@@ -30,6 +30,10 @@ class PrecisionCapError(EulerPadeError, RuntimeError):
     """The working-precision cap was reached before the result settled."""
 
 
+class BoundChainError(EulerPadeError, RuntimeError):
+    """The bound chain failed one of its own consistency checks."""
+
+
 class NoConvergenceError(EulerPadeError, RuntimeError):
     """No term of the series cleared the precision target within n_max."""
 

@@ -30,7 +30,13 @@ import math
 from dataclasses import dataclass
 from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatchError
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
-from .polys import Poly, _exact_quotient, _factorial_series_product
+from .polys import (
+    Poly,
+    _cleared_leading_column,
+    _exact_quotient,
+    _factorial_series_product,
+    _root_power_product,
+)
 
 
 def _common_field(elems) -> int | None:
@@ -45,11 +51,16 @@ def _common_field(elems) -> int | None:
 
 @dataclass(frozen=True)
 class SigmaVector:
-    """Coefficients sigma_0..sigma_L of prod_j (beta_j - w)^{l_j}."""
+    """Coefficients sigma_0..sigma_L of prod_j (beta_j - w)^{l_j}, held as
+    the Poly sum_i sigma_i w^i."""
 
     l_vec: tuple[int, ...]
     beta: tuple[FieldElement, ...]
-    coeffs: tuple[FieldElement, ...]
+    poly: Poly
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return self.poly.coeffs
 
     @property
     def L(self) -> int:
@@ -63,12 +74,7 @@ def sigma_coeffs(l_vec, beta) -> SigmaVector:
         raise ValueError("need one exponent l_j >= 1 per beta_j")
     d = _common_field(beta)
     beta = tuple(_as_elem(b, d) for b in beta)
-    poly = Poly([1], d)
-    for lj, bj in zip(l_vec, beta):
-        factor = Poly([bj, -1], d)
-        for _ in range(lj):
-            poly = poly * factor
-    return SigmaVector(l_vec, beta, poly.coeffs)
+    return SigmaVector(l_vec, beta, _root_power_product(beta, l_vec, d))
 
 
 def sigma_annihilation_check(sv: SigmaVector, j: int, k: int) -> FieldElement:
@@ -165,27 +171,24 @@ class PadeSystem:
         }
 
 
-def _cleared_columns(
-    sv: SigmaVector, mu: int, p0, p1, d
-) -> tuple[tuple[Poly, ...], FieldElement]:
+def _cleared_columns(sv: SigmaVector, mu: int, p0, p1) -> tuple[tuple[Poly, ...], FieldElement]:
     """The columns C = [P]_{L+mu} * A and the clearing factor [P]_{L+mu}.
 
     C_0(t) = sum_i sigma_i prod_{k=i+mu}^{L+mu-1} P(k) t^(L-i), and C_j is
     C_0(t) G(beta_j t) below t^(L+mu).
     """
-    L = sv.L
-    c0 = []  # ascending, so sigma_i lands at index L - i
-    cleared = _as_elem(1, d)  # prod_{k=i+mu}^{L+mu-1} P(k)
-    for i in range(L, -1, -1):
-        c0.append(sv.coeffs[i] * cleared)
-        if i:
-            cleared = cleared * (p0 + p1 * (i - 1 + mu))
-    for k in range(mu):
-        cleared = cleared * (p0 + p1 * k)
-    columns = [Poly(c0, d)]
-    for beta in sv.beta:
-        columns.append(_factorial_series_product(columns[0], (p0, p1), beta, L + mu))
-    return tuple(columns), cleared
+    c0, cleared = _cleared_leading_column(sv.poly, (p0, p1), mu)
+    columns = (c0, *(_factorial_series_product(c0, (p0, p1), b, sv.L + mu) for b in sv.beta))
+    return columns, cleared
+
+
+def _euler_sigma(m: int, l: int, alpha) -> SigmaVector:
+    """sigma for Euler's system: m >= 1 nonzero, pairwise distinct points, each of order l >= 1."""
+    if m < 1 or l < 1:
+        raise ValueError("need m >= 1, l >= 1, 0 <= mu <= m")
+    if len(alpha) != m:
+        raise ValueError(f"expected {m} evaluation points")
+    return sigma_coeffs([l] * m, _validated_points(alpha, _common_field(alpha)))
 
 
 def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
@@ -196,15 +199,11 @@ def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
     coefficients are algebraic integers.  These are the generic columns
     for P(x) = 1 + x, where the clearing factor [P]_{ml+mu} is (ml+mu)!.
     """
-    if m < 1 or l < 1 or not 0 <= mu <= m:
+    if not 0 <= mu <= m:
         raise ValueError("need m >= 1, l >= 1, 0 <= mu <= m")
-    if len(alpha) != m:
-        raise ValueError(f"expected {m} evaluation points")
-    d = _common_field(alpha)
-    alpha = _validated_points(alpha, d)
-    sv = sigma_coeffs([l] * m, alpha)
-    columns, _ = _cleared_columns(sv, mu, 1, 1, d)
-    return PadeSystem(sv.l_vec, mu, alpha, 1, 1, sv, columns, d)
+    sv = _euler_sigma(m, l, alpha)
+    columns, _ = _cleared_columns(sv, mu, 1, 1)
+    return PadeSystem(sv.l_vec, mu, sv.beta, 1, 1, sv, columns, sv.poly.d)
 
 
 def pade_order_check(system: PadeSystem, cutoff: int) -> int:
@@ -233,7 +232,7 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
     if not p1:
         raise DegeneratePolynomialError("P must have degree exactly one")
     sv = sigma_coeffs(l_vec, beta)
-    columns, cleared = _cleared_columns(sv, mu, p0, p1, d)
+    columns, cleared = _cleared_columns(sv, mu, p0, p1)
     if not cleared:
         raise ZeroDivisionError("P vanishes at a nonnegative integer below L + mu")
     scale = cleared.inverse()
@@ -287,10 +286,8 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     negating the m remainder columns; the remaining sign is
     sigma_ml = (-1)^(ml).)
     """
-    systems = [pade_construct(m, l, mu, alpha) for mu in range(m + 1)]
-    d = systems[0].d
-    alpha = systems[0].alpha
-    sv = systems[0].sigma
+    sv = _euler_sigma(m, l, alpha)
+    d, alpha = sv.poly.d, sv.beta
     exponent = m * (m + 1) * l + m * (m - 1) // 2
 
     sign = -1 if (m * l) % 2 else 1
@@ -305,7 +302,7 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
         for j in range(i + 1, m):
             b = b * (alpha[j] - alpha[i])
 
-    matrix = [list(systems[mu].B) for mu in range(m + 1)]
+    matrix = [list(_cleared_columns(sv, mu, 1, 1)[0]) for mu in range(m + 1)]
     det = _poly_det(matrix, d)
     expected = Poly.monomial(b, exponent, d)
     return exponent, b, det == expected

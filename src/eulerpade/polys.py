@@ -9,8 +9,10 @@ hashing compare the ints (and d, when some B_i is not 0), and arithmetic
 and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement
 coefficients are built only when coeffs or [i] is read.  Only what the
 Pade construction needs lives here, and this module alone reads the
-numerators: besides Poly, the product of a polynomial with the series
-sum_n [P]_n (x t)^n, and the exact division behind Bareiss elimination.
+numerators: besides Poly, the expansion of prod_j (beta_j - w)^{l_j}, the
+Pade column C_0 built on it with the clearing factor [P]_{L+mu}, the
+product of a polynomial with the series sum_n [P]_n (x t)^n, and the exact
+division behind Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -118,21 +120,25 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self._A, self._B, self._c))
 
-    def __add__(self, other: Poly) -> Poly:
+    def _combine(self, other: Poly, sign: int) -> Poly:
+        """self + sign * other, over the lcm of the two denominators."""
         if other.d != self.d and any(other._B):
             raise FieldMismatchError("element belongs to a different field")
         c1, c2 = self._c, other._c
         g = math.gcd(c1, c2)
-        s1, s2 = c2 // g, c1 // g
+        s1, s2 = c2 // g, sign * (c1 // g)
         A = [x * s1 + y * s2 for x, y in zip_longest(self._A, other._A, fillvalue=0)]
         B = [x * s1 + y * s2 for x, y in zip_longest(self._B, other._B, fillvalue=0)]
         return _poly(A, B, c1 * s1, self.d)
+
+    def __add__(self, other: Poly) -> Poly:
+        return self._combine(other, 1)
 
     def __neg__(self) -> Poly:
         return _poly([-a for a in self._A], [-b for b in self._B], self._c, self.d)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> Poly:
         d = self.d
@@ -170,22 +176,67 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _linear_pairs(p, d) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """The int pairs of e P = (r0 + s0 sqrt(d)) + (r1 + s1 sqrt(d)) x and e > 0,
+    for P = p[0] + p[1] x and e the lcm of the two denominators."""
+    (a0, b0, c0), (a1, b1, c1) = [(x, 0, 1) if type(x) is int else _as_elem(x, d).integral_form() for x in p]
+    e = math.lcm(c0, c1)
+    return (a0 * (e // c0), b0 * (e // c0)), (a1 * (e // c1), b1 * (e // c1)), e
+
+
+def _root_power_product(points, l_vec, d) -> Poly:
+    """prod_j (beta_j - w)^{l_j} for points beta_j = (a_j + b_j sqrt(d))/f_j:
+    the numerators are multiplied by (a_j + b_j sqrt(d)) - f_j w once per
+    unit of l_j, over the one denominator prod_j f_j^{l_j}."""
+    dd = d or 0
+    A, B, c = [1], [0], 1
+    for point, lj in zip(points, l_vec):
+        a, b, f = point.integral_form()
+        for _ in range(lj):
+            A, B = (
+                [a * x + dd * b * y - f * u for x, y, u in zip(A + [0], B + [0], [0] + A)],
+                [a * y + b * x - f * v for x, y, v in zip(A + [0], B + [0], [0] + B)],
+            )
+        c *= f**lj
+    return _poly(A, B, c, d)
+
+
+def _cleared_leading_column(sigma: Poly, p, mu: int) -> tuple[Poly, FieldElement]:
+    """C_0(t) = sum_i sigma_i prod_{k=i+mu}^{L+mu-1} P(k) t^(L-i) and the
+    clearing factor [P]_{L+mu}, for sigma of degree L and P = p[0] + p[1] x,
+    on the int pairs e P(k): coefficient L - i is scaled by e^i to lie over e^L."""
+    d = sigma.d
+    dd = d or 0
+    (r0, s0), (r1, s1), e = _linear_pairs(p, d)
+    L = sigma.degree
+    A, B = [sigma._A[L] * e**L], [sigma._B[L] * e**L]  # ascending: sigma_i at index L - i
+    x, y = 1, 0  # prod_{j=k}^{L+mu-1} e P(j)
+    for k in range(L + mu - 1, -1, -1):
+        x, y = _pair_mul(x, y, r0 + r1 * k, s0 + s1 * k, dd)
+        i = k - mu
+        if i >= 0:
+            u, v = _pair_mul(sigma._A[i], sigma._B[i], x, y, dd)
+            A.append(u * e**i)
+            B.append(v * e**i)
+    return _poly(A, B, sigma._c * e**L, d), _reduced(x, y, e ** (L + mu), d)
+
+
 def _factorial_series_product(a0: Poly, p, point, n_terms: int) -> Poly:
     """a0(t) sum_n [P]_n (point t)^n below t^n_terms, [P]_n = prod_{k<n} P(k),
     for P = p[0] + p[1] x of degree one.  With e the denominator of P and f
     that of the point, every term is an int pair over (ef)^(n_terms-1)."""
     d = a0.d
     dd = d or 0
-    P = Poly(p, d)
+    (p0, q0), (p1, q1), e = _linear_pairs(p, d)
     a, b, f = _as_elem(point, d).integral_form()
-    (r0, s0), (r1, s1) = (_pair_mul(u, v, a, b, dd) for u, v in zip(P._A, P._B))
+    (r0, s0), (r1, s1) = _pair_mul(p0, q0, a, b, dd), _pair_mul(p1, q1, a, b, dd)
     SA, SB = [1], [0]
     x, y = 1, 0
     for k in range(n_terms - 1):
         x, y = _pair_mul(x, y, r0 + r1 * k, s0 + s1 * k, dd)  # times e f P(k) point
         SA.append(x)
         SB.append(y)
-    q = P._c * f
+    q = e * f
     if q != 1:
         powers = [q ** (n_terms - 1 - n) for n in range(n_terms)]
         SA = [x * w for x, w in zip(SA, powers)]

@@ -44,6 +44,16 @@ def random_integral_element(rng: random.Random, K: QuadraticField, lo=-50, hi=50
             return elem
 
 
+def sigma_by_linear_factors(l_vec, beta, one=1) -> list:
+    """Coefficients of prod_j (beta_j - w)^{l_j}, ascending, multiplied out
+    one linear factor at a time; one is the 1 of the coefficients' field."""
+    sigma = [one]
+    for lj, b in zip(l_vec, beta):
+        for _ in range(lj):
+            sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
+    return sigma
+
+
 def residue_add(x: CompletionElement, y: CompletionElement, sign: int = 1) -> CompletionElement:
     """x + sign*y for two residues at one place and precision."""
     assert (x.place, x.n) == (y.place, y.n)

@@ -8,6 +8,7 @@ import pytest
 from eulerpade.arith import factorize, prime_range, primes_upto
 from eulerpade.errors import (
     AllLambdaZeroError,
+    BoundChainError,
     HeightTooSmallError,
     InvalidModulusError,
     InvalidPrimeError,
@@ -22,6 +23,7 @@ from eulerpade.padics import PRECISION_CAP, CompletionElement, euler_eval_certif
 from eulerpade.places import Place, factorial_valuation, places_above, valuation
 import eulerpade.padics as padics
 from eulerpade.bounds import (
+    LIMSUP_MAX_L,
     ValuationSetDescriptor,
     constants_c1_c2,
     effective_bounds,
@@ -132,6 +134,14 @@ def test_limsup_exclusion_slope(KQ):
     assert max(raised[40:]) < min(raised[:10])
 
 
+def test_limsup_past_the_work_budget_is_refused(KQ, monkeypatch):
+    assert len(limsup_sequence(KQ, [1], V_ALL, 5)) == 5
+    # refused before any term is summed
+    monkeypatch.setattr("eulerpade.bounds.factorial_valuation", None)
+    with pytest.raises(PrecisionCapError, match="work budget"):
+        limsup_sequence(KQ, [1], ValuationSetDescriptor.cofinite(places_above(KQ, 2)), LIMSUP_MAX_L + 1)
+
+
 def test_limsup_rejects_residue_classes(KQ):
     desc = ValuationSetDescriptor.residue_classes(4, {1, 3})
     with pytest.raises(UnsupportedDescriptorError):
@@ -175,6 +185,14 @@ def test_effective_bounds_height_too_small():
 def test_effective_bounds_refuses_a_bad_c1_or_height(c1, log_h, name):
     with pytest.raises(ValueError, match=name):
         effective_bounds(1, 1, c1, log_h)
+
+
+def test_failed_interval_containment_is_a_named_error():
+    # a tiny c1 leaves ell past the prime interval; c1 < 1 itself is allowed
+    assert effective_bounds(1, 1, 0.5, 1e10).ell > 2
+    with pytest.raises(BoundChainError, match="interval containment") as info:
+        effective_bounds(1, 1, 1e-300, 1e10)
+    assert isinstance(info.value, RuntimeError)
 
 
 @pytest.mark.parametrize("m, kappa, c1, log_h", [(1, 1, 2.0, 1e200), (2, 2, 3.0, 1e250), (1, 800, 2.0, 1e10)])
@@ -514,7 +532,8 @@ def test_certificate_record_of_a_different_form_is_refused(key, extra):
 @pytest.mark.parametrize(
     "key, values",
     [("lambdas", ["1/2", "0,-1", "0,1"]), ("lambdas", ["5", "0,1/2", "0,1"]),
-     ("alphas", ["1/3,1/3", "1/3,1/3"]), ("alphas", ["1/2,1/2", "1/2,1/2"]), ("alphas", ["0", "1/2,-1/2"])],
+     ("alphas", ["1/3,1/3", "1/3,1/3"]), ("alphas", ["1/2,1/2", "1/2,1/2"]), ("alphas", ["0", "1/2,-1/2"]),
+     ("alphas", ["x", "1"]), ("lambdas", ["1/0", "0,1", "0,1"])],
 )
 def test_certificate_record_outside_the_scan_rules_is_refused(key, values):
     # the reader takes only what certify_nonvanishing takes, so the checker

@@ -66,6 +66,8 @@ def test_bounds_example(capsys):
         ["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "nan"],
         ["bounds", "--m", "1", "--kappa", "1", "--c1", "nan", "--logH", "1e10"],
         ["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "inf"],
+        ["bounds", "--m", "1", "--kappa", "1", "--c1", "1e-300", "--logH", "1e10"],
+        ["limsup", "--alphas", "1;2", "--lmax", "1000001"],
     ],
 )
 def test_bound_chain_outside_the_double_range_is_an_input_error(capsys, argv):

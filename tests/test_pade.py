@@ -31,6 +31,8 @@ from eulerpade.pade import (
 from eulerpade.places import factorial_valuation, places_above, valuation
 from eulerpade.polys import Poly
 
+from conftest import sigma_by_linear_factors
+
 
 def test_sigma_examples():
     sv = sigma_coeffs([2], [1])
@@ -220,10 +222,7 @@ def _generic_remainder(l_vec, mu, beta, p0, p1, j, n):
     """Coefficient n of A_0(t) G(beta_j t) by the closed form
     r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}, with
     sigma, the coefficients of prod_j (beta_j - w)^{l_j}, expanded here."""
-    sigma = [1]
-    for lj, b in zip(l_vec, beta):
-        for _ in range(lj):
-            sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
+    sigma = sigma_by_linear_factors(l_vec, beta)
     L = len(sigma) - 1
     bj = Fraction(beta[j - 1])
     return sum(
@@ -258,10 +257,7 @@ def test_pade_generic_non_integral_inputs(K5):
     beta = [K5(Fraction(1, 2), Fraction(3, 2)), K5(Fraction(3, 2), Fraction(-1, 2))]
     l_vec, mu = [2, 1], 1
     system = pade_generic(l_vec, mu, beta, p0, p1)
-    sigma = [K5(1)]
-    for lj, b in zip(l_vec, beta):
-        for _ in range(lj):
-            sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
+    sigma = sigma_by_linear_factors(l_vec, beta, K5(1))
     L = len(sigma) - 1
     start = L + mu
     b0 = [sigma[L - h] * Fraction(1, _rising(p0, p1, L - h + mu)) for h in range(L + 1)]
