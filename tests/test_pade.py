@@ -221,7 +221,8 @@ def _rising(p0, p1, n):
 def _generic_remainder(l_vec, mu, beta, p0, p1, j, n):
     """Coefficient n of A_0(t) G(beta_j t) by the closed form
     r_{n,j} = sum_h sigma_{L-h} [P]_{n-h}/[P]_{L-h+mu} beta_j^{n-h}, with
-    sigma, the coefficients of prod_j (beta_j - w)^{l_j}, expanded here."""
+    sigma, the coefficients of prod_j (beta_j - w)^{l_j}, multiplied out
+    one linear factor at a time."""
     sigma = sigma_by_linear_factors(l_vec, beta)
     L = len(sigma) - 1
     bj = Fraction(beta[j - 1])
