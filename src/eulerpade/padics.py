@@ -18,18 +18,27 @@ in series values are summed here too, so no other module combines residues.
 Series are summed with exact tail control: a term is dropped only once its
 valuation, and by monotonicity every later term's, provably reaches the
 target precision.  The resulting CertifiedValue pins the series sum mod p^N.
-One loop sums every factorial series sum_n [P]_n t^n with deg P = 1;
-Euler's series is P(x) = 1 + x.  It runs on plain ints: the term and the
-partial sum are int residues mod p^N, or int pairs at inert and ramified
-places, and valuations are counted in half-units; only the result becomes a
-CompletionElement.  When P has rational-integer coefficients the factors
-P(k) stay plain ints, valued by v_p alone.  Otherwise w_v(P(k)), like
-w_v(t), is read off the residue the loop already holds, and computed
-exactly from the field element only when that residue leaves it open (a
-zero residue, or a norm that vanishes mod 2^N at a 2-adic ramified place),
-so every reported tail bound is exact.  When w_v(t) = 0 and P(0), ...,
-P(p-1) are all units, no term can ever clear the target, and the sum
-refuses at once.
+One routine sums every factorial series sum_n [P]_n t^n with deg P = 1;
+Euler's series is P(x) = 1 + x.  It works in two phases, with valuations
+counted in half-units.  Phase 1 finds the stopping index from valuations
+alone.  P(k + p) - P(k) = p*p1, so whether w_v(P(k)) > 0 depends on k mod p
+only: for P over Z the class is solved for, otherwise it is read off
+residues mod p.  Only the factors in those classes are valued; w_v(t) and
+an algebraic w_v(P(k)) are read off their residues, and computed exactly
+from the field element only when a residue leaves them open (a zero
+residue, or a norm that vanishes mod 2^N at a 2-adic ramified place), so
+every reported tail bound is exact.  Between two such factors the bound
+grows by w_v(t) a term, so the cut there is one division.  When w_v(t) = 0
+and P(0), ..., P(p-1) are all units no term can ever clear the target, and
+the sum refuses at once; a sum without a term limit refuses a stop over
+TERM_BUDGET before the first term.  Phase 2 sums the terms before the stop
+with no valuation work: on int residues at rational and split places; at
+inert and ramified places with P over Z, on exact pairs in Z[x], x = sqrt(d)
+or omega = (1 + sqrt(d))/2 when d = 1 mod 4 so that a half-integral t stays
+small, in chunks whose factor products and powers of t are exact, two
+products mod p^N a chunk, converted to the place's basis at the end; and
+with an algebraic P, one pair product mod p^N a term.  Only the result
+becomes a CompletionElement.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
+from operator import mul
 
 from .arith import canonical_sqrt_mod, is_prime, padic_ord_int
 from .errors import (
@@ -52,6 +62,15 @@ from .places import RAMIFIED, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image,
 
 #: hard ceiling on the requested residue precision N
 PRECISION_CAP = 4096
+
+#: the most terms a sum without a term limit (euler_eval_certified) may
+#: take; the stop is known before the first term, so a larger one is
+#: refused at once.  Euler's series at p = 101, N = 256 takes 25654 terms,
+#: at p = 1009, N = 4096 about 4.1 million
+TERM_BUDGET = 10**6
+
+#: terms per chunk of the exact pair kernel
+_CHUNK = 32
 
 _INT = "int"
 _SQRT = "sqrt"
@@ -236,7 +255,8 @@ def euler_eval_certified(v: Place, alpha, n_target: int) -> CertifiedValue:
     algebraic integer, so v_p(n!) + n*w_v(alpha) is a nondecreasing exact
     lower bound for the term at index n; the first index whose bound
     reaches the target closes the sum, and the bound achieved there is
-    reported.
+    reported.  That index is found before the first term, and one over
+    TERM_BUDGET raises PrecisionCapError.
     """
     _check_precision(n_target)
     return _sum_factorial_series(v, 1, 1, _algebraic_integer(alpha, v.d), n_target, None)
@@ -269,80 +289,193 @@ def _sum_factorial_series(
 
     t is an algebraic integer, so w_v(t) >= 0; p0 and p1 are either both
     ints or both algebraic-integer field elements.  n_max None sums
-    without a term limit.  Valuations are counted in half-units (w2 is
-    2*w_v), which keeps them ints at ramified places too.
+    without a term limit, up to TERM_BUDGET terms.  Valuations are counted
+    in half-units (w2 is 2*w_v), which keeps them ints at ramified places
+    too.  The stopping index comes first, from valuations alone, and then
+    the terms before it are summed with no valuation work.
     """
-    p = v.p
     if not t:
         return CertifiedValue(CompletionElement.one(v, n_target), Fraction(n_target), 1)
-    mod = p**n_target
+    mod = v.p**n_target
     t_c = CompletionElement.from_field_element(v, n_target, t)
-    basis = t_c.basis
-    # t's residue with signed coordinates: a t with small coordinates keeps
-    # them, so each step multiplies the term by a short int
-    ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
-    c, s = _law(v)
     w2_t = _residue_w2(v, t_c.a, t_c.b, mod)
     if w2_t is None:
         w2_t = int(2 * valuation(v, t))
-    algebraic = not isinstance(p0, int)
-    if algebraic:
-        # the residue of P(n-1), stepped by the residue of p1
+    if isinstance(p0, int):
+        f = step = None
+    else:
+        # the residues of P(0) and of p1, stepping the residue of P(k)
         f = CompletionElement.from_field_element(v, n_target, p0)
         step = CompletionElement.from_field_element(v, n_target, p1)
-        fa, fb = f.a, f.b
+    stop, bound2 = _stopping_index(v, p0, p1, f, step, w2_t, n_target, n_max)
+    if n_max is None and stop > TERM_BUDGET:
+        raise PrecisionCapError(
+            f"the sum at {v} to precision {n_target} needs {stop} terms, "
+            f"over the budget of {TERM_BUDGET}"
+        )
+    a, b = _partial_sum(v, p0, p1, f, step, t, t_c, stop, mod)
+    return CertifiedValue(CompletionElement(v, n_target, a, b), Fraction(bound2, 2), stop)
 
-    a, b = 1, 0  # the term [P]_(n-1) t^(n-1)
-    sa, sb = 1, 0  # the partial sum, reduced at the return
-    w2_prod = 0
 
-    def certified(w2, n):
-        value = CompletionElement(v, n_target, sa % mod, sb % mod)
-        return CertifiedValue(value, Fraction(w2, 2), n)
+def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) -> tuple[int, int]:
+    """(stop, 2 * tail bound): the least n whose term bound w2([P]_n) + n*w2_t
+    reaches 2*n_target, or one past the first vanishing factor, whose tail
+    is exactly 0 (bound 2*n_target).
 
-    for n in count(1) if n_max is None else range(1, n_max + 1):
-        if algebraic:
-            # w_v(P(n-1)) off its residue; P(n-1) itself is built only when
-            # the residue leaves w_v open, so the bound stays exact
-            w2 = _residue_w2(v, fa, fb, mod)
+    Only the factors with w_v(P(k)) > 0 are valued; between two of them the
+    bound grows by w2_t a term, so the cut there is one division.  Refuses
+    with NoConvergenceError when the stop lies beyond n_max, or when every
+    P(k) is a unit and w_v(t) = 0.
+    """
+    p, target = v.p, 2 * n_target
+    mod = p**n_target
+    w2_prod, n = 0, 1  # w2([P]_n) and the least n not yet ruled out
+    for k in _positive_factors(v, p0, p1, f, step, w2_t, target, n_max):
+        if k >= n:
+            # the term bound at n..k is w2_prod + n*w2_t
+            if w2_prod + n * w2_t >= target:
+                break
+            if w2_t:
+                cut = -((w2_prod - target) // w2_t)
+                if cut <= k:
+                    n = cut
+                    break
+        if n_max is not None and k >= n_max:
+            n = k + 1  # the stop lies past k, so past n_max
+            break
+        if f is None:
+            factor = p0 + p1 * k
+            w2 = 2 * padic_ord_int(factor, p) if factor else None
+        else:
+            # w_v(P(k)) off its residue; P(k) itself is built only when the
+            # residue leaves w_v open, so the bound stays exact
+            w2 = _residue_w2(v, (f.a + k * step.a) % mod, (f.b + k * step.b) % mod, mod)
             if w2 is None:
-                factor = p0 + p1 * (n - 1)
-                if not factor:
-                    return certified(2 * n_target, n)
-                w2 = int(2 * valuation(v, factor))
-            w2_prod += w2
-        else:
-            factor = p0 + p1 * (n - 1)
-            if not factor:
-                # the factor product vanishes from here on: the tail is exactly 0
-                return certified(2 * n_target, n)
-            if factor % p == 0:
-                w2_prod += 2 * padic_ord_int(factor, p)
-        bound2 = w2_prod + n * w2_t
-        if bound2 >= 2 * n_target:
-            return certified(bound2, n)
-        if n == p and bound2 == 0:
-            # w_v(P(k + p) - P(k)) = w_v(p*p1) >= 1, so P(k) is a unit for
-            # every k: the term bound stays 0 for ever
-            raise NoConvergenceError(
-                f"P(k) is a unit at {v} for k < {p}, hence for every k, and "
-                f"w_v(t) = 0: no term can reach valuation {n_target}"
-            )
-        # the multiplier t*P(n-1) taking the term at n-1 to the one at n
-        if algebraic:
-            ma, mb = _pair_mul(ta, tb, fa, fb, c, s, mod)
-            fa, fb = (fa + step.a) % mod, (fb + step.b) % mod
-        else:
-            ma, mb = ta * factor, tb * factor
-        if basis == _INT:
-            a = a * ma % mod
-        else:
-            a, b = _pair_mul(a, b, ma, mb, c, s, mod)
-            sb += b
+                factor = p0 + p1 * k
+                w2 = int(2 * valuation(v, factor)) if factor else None
+        if w2 is None:
+            # the factor product vanishes from here on: the tail is exactly 0
+            return k + 1, target
+        w2_prod += w2
+        n = k + 1
+    else:
+        if w2_prod + n * w2_t < target:
+            if w2_t:
+                n = -((w2_prod - target) // w2_t)
+            elif not w2_prod and (n_max is None or n_max >= p):
+                # w_v(P(k + p) - P(k)) = w_v(p*p1) >= 1, so P(k) is a unit
+                # for every k: the term bound stays 0 for ever
+                raise NoConvergenceError(
+                    f"P(k) is a unit at {v} for k < {p}, hence for every k, and "
+                    f"w_v(t) = 0: no term can reach valuation {n_target}"
+                )
+            else:
+                n = math.inf  # the bound stops growing short of the target, below n_max
+    if n_max is not None and n > n_max:
+        raise NoConvergenceError(
+            f"no term reached valuation {n_target} within {n_max} terms at {v}"
+        )
+    return n, w2_prod + n * w2_t
+
+
+def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max):
+    """The k with w_v(P(k)) > 0, in increasing order.
+
+    P(k + p) - P(k) = p*p1, so whether w_v(P(k)) > 0 depends on k mod p
+    alone.  For int P the classes are solved for; otherwise they are read
+    off residues mod p, over k < p and only as far as a stop can lie: below
+    n_max, and below 2*N / w2_t, where n*w2_t alone reaches the target.
+    """
+    p = v.p
+    if f is None:
+        if p1 % p:
+            yield from count(-p0 * pow(p1, -1, p) % p, p)
+        elif p0 % p == 0:
+            yield from count()
+        return
+    limit = min(p, p if n_max is None else n_max, -(-target // w2_t) if w2_t else p)
+    fa, fb, sa, sb = f.a % p, f.b % p, step.a % p, step.b % p
+    classes = []
+    for k in range(limit):
+        if _residue_w2(v, (fa + k * sa) % p, (fb + k * sb) % p, p) != 0:
+            classes.append(k)
+            yield k
+    if classes and limit == p:
+        for base in count(p, p):
+            for k in classes:
+                yield base + k
+
+
+def _partial_sum(v: Place, p0, p1, f, step, t: FieldElement, t_c, stop: int, mod: int):
+    """The pair of sum_{n < stop} [P]_n t^n mod `mod` in the place's basis."""
+    if t_c.basis == _INT:
+        # the multiplier t*P(n-1) that takes term n-1 to term n, stepped by
+        # t*p1; t's residue is taken signed, so a small t keeps it short
+        ta = t_c.a - mod if 2 * t_c.a > mod else t_c.a
+        m, dm = (ta * p0, ta * p1) if f is None else (ta * f.a, ta * step.a)
+        a = sa = 1
+        for _ in range(stop - 1):
+            a = a * m % mod
+            sa += a
+            m += dm
+        return sa % mod, 0
+    if f is None:
+        d = v.d
+        A, B, c = t.integral_form()
+        if d % 4 != 1:
+            return _chunked_pair_sum(p0, p1, A, B, d, 0, stop, mod)
+        # in Z[omega], omega = (1 + sqrt(d))/2, a half-integral t has small
+        # coordinates too
+        a, b = _chunked_pair_sum(p0, p1, (A - B) // c, 2 * B // c, (d - 1) // 4, 1, stop, mod)
+        if t_c.basis == _OMEGA:
+            return a, b
+        half = (mod + 1) // 2  # a + b*omega in sqrt(d)-coordinates, p odd
+        return (a + b * half) % mod, b * half % mod
+    c, s = _law(v)
+    ta, tb = (x - mod if 2 * x > mod else x for x in (t_c.a, t_c.b))
+    fa, fb = f.a, f.b
+    a, b, sa, sb = 1, 0, 1, 0
+    for _ in range(stop - 1):
+        ma, mb = _pair_mul(ta, tb, fa, fb, c, s, mod)
+        fa, fb = (fa + step.a) % mod, (fb + step.b) % mod
+        a, b = _pair_mul(a, b, ma, mb, c, s, mod)
         sa += a
-    raise NoConvergenceError(
-        f"no term reached valuation {n_target} within {n_max} terms at {v}"
-    )
+        sb += b
+    return sa % mod, sb % mod
+
+
+def _chunked_pair_sum(p0: int, p1: int, u: int, w: int, c: int, s: int, stop: int, mod: int):
+    """sum_{n < stop} [P]_n t^n mod `mod` for P(x) = p0 + p1*x over Z and
+    t = u + w*x in Z[x], x^2 = c + s*x.
+
+    The terms go in chunks of _CHUNK: within a chunk the factor products
+    and the powers of t are exact ints, so a chunk costs two dot products,
+    and only its sum and the term that opens the next chunk are products
+    mod `mod`.
+    """
+    size = min(stop, _CHUNK)
+    pa, pb = [], []  # t^0 .. t^(size-1)
+    la, lb = 1, 0
+    for _ in range(size):
+        pa.append(la)
+        pb.append(lb)
+        bw = lb * w
+        la, lb = la * u + c * bw, la * w + lb * u + s * bw
+    # la + lb*x = t^size steps one chunk's first term to the next
+    ga, gb = 1, 0  # the term [P]_n0 t^n0 that opens the chunk
+    sa = sb = 0
+    for n0 in range(0, stop, size):
+        last = min(size, stop - n0) - 1
+        f0 = p0 + p1 * n0
+        # q[i] = P(n0) ... P(n0 + i - 1), the factors of term n0 + i past term n0
+        q = list(accumulate(range(f0, f0 + p1 * last, p1), mul, initial=1))
+        ca, cb = _pair_mul(ga, gb, sum(map(mul, q, pa)), sum(map(mul, q, pb)), c, s, mod)
+        sa += ca
+        sb += cb
+        if n0 + size < stop:
+            whole = q[-1] * (f0 + p1 * last)
+            ga, gb = _pair_mul(ga, gb, whole * la, whole * lb, c, s, mod)
+    return sa % mod, sb % mod
 
 
 #: the number of series values linear_form_value keeps, least recently used

@@ -134,10 +134,37 @@ def test_limsup_exclusion_slope(KQ):
     assert max(raised[40:]) < min(raised[:10])
 
 
+def test_limsup_stepped_valuations_match_legendre(KQ, K5):
+    # the factorial valuations of excluded places are stepped with l; each
+    # value must equal, bit for bit, the sum with v_p((ml)!) and v_p(l!)
+    # taken by Legendre's formula and weighted by the exact kappa_v/kappa
+    cases = [
+        (KQ, [1], (2,)),
+        (KQ, [1, 2], (2, 3, 5, 7, 11, 13)),
+        (KQ, [3, -1, 2], (3, 5)),
+        (K5, [K5(Fraction(1, 2), Fraction(1, 2)), 2], (2, 5, 11)),
+    ]
+    for K, alphas, primes in cases:
+        excluded = [v for p in primes for v in places_above(K, p)]
+        V = ValuationSetDescriptor.cofinite(excluded)
+        base = limsup_sequence(K, alphas, V_ALL, 400)
+        got = limsup_sequence(K, alphas, V, 400)
+        _, c2 = constants_c1_c2(K, alphas, V)
+        _, c2_all = constants_c1_c2(K, alphas, V_ALL)
+        assert c2 == c2_all  # the bases agree, so only the excluded terms differ
+        m = len(alphas)
+        for l, (a, b) in enumerate(zip(base, got), start=1):
+            expected = a
+            for v in excluded:
+                vp = factorial_valuation(v.p, m * l) + factorial_valuation(v.p, l)
+                expected += Fraction(v.kappa_v, K.kappa) * vp * math.log(v.p)
+            assert b == expected, (K, alphas, l)
+
+
 def test_limsup_past_the_work_budget_is_refused(KQ, monkeypatch):
     assert len(limsup_sequence(KQ, [1], V_ALL, 5)) == 5
-    # refused before any term is summed
-    monkeypatch.setattr("eulerpade.bounds.factorial_valuation", None)
+    # refused before any term is summed: every term calls math.lgamma
+    monkeypatch.setattr(math, "lgamma", None)
     with pytest.raises(PrecisionCapError, match="work budget"):
         limsup_sequence(KQ, [1], ValuationSetDescriptor.cofinite(places_above(KQ, 2)), LIMSUP_MAX_L + 1)
 

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eulerpade.padics as padics
 from eulerpade.arith import legendre_symbol, primes_upto
@@ -231,6 +233,12 @@ def test_genfact_terminating_product(KQ):
     cv = genfact_eval(p2, 2, -1, 1, 4, 100)
     assert cv.value.a == (1 + 2 + 2) % 16
     assert cv.tail_valuation_bound >= 4
+    # a factor that vanishes counts only within n_max: P = x - 5 vanishes at
+    # k = 5, which the sixth term reaches and the fifth does not
+    (p3,) = places_above(KQ, 3)
+    assert genfact_eval(p3, -5, 1, 1, 100, 6).terms_used == 6
+    with pytest.raises(NoConvergenceError, match="within 5 terms"):
+        genfact_eval(p3, -5, 1, 1, 100, 5)
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -396,20 +404,29 @@ def _reaches(v, z, N):
     return image.numerator % mod == 0
 
 
-def test_anchor_matches_plain_int_sum(KQ):
-    # p = 101, N = 256: a bare-int sum of n! alpha^n mod p^N, cut at the
-    # least n with v_101(n!) >= 256 by Legendre's formula
-    p, N = 101, 256
-    (v,) = places_above(KQ, p)
+def _legendre_stop(p, N):
+    """The least n with v_p(n!) >= N, by Legendre's formula."""
 
-    def legendre(n):
+    def vp_factorial(n):
         k, q = 0, p
         while q <= n:
             k += n // q
             q *= p
         return k
 
-    stop = next(n for n in count(1) if legendre(n) >= N)
+    lo, hi = 1, p * N  # v_p((p*N)!) >= N
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if vp_factorial(mid) < N else (lo, mid)
+    return lo
+
+
+def test_anchor_matches_plain_int_sum(KQ):
+    # p = 101, N = 256: a bare-int sum of n! alpha^n mod p^N, cut at the
+    # least n with v_101(n!) >= 256 by Legendre's formula
+    p, N = 101, 256
+    (v,) = places_above(KQ, p)
+    stop = _legendre_stop(p, N)
     assert stop == 25654
     mod = p**N
     for alpha in (37, -2):
@@ -582,3 +599,125 @@ def test_canonical_sqrt_mod_refusals_are_not_split():
     for d, p in ((5, 2), (3, 2), (3, 7), (25, 5)):
         with pytest.raises(NotSplitError):
             canonical_sqrt_mod(d, p, 3)
+
+
+def test_term_budget_refuses_before_summing(KQ, monkeypatch):
+    # p = 1009, N = 4096 needs about 4.1M terms; the stop is known before
+    # the first term, so the refusal names it at once
+    (v,) = places_above(KQ, 1009)
+    stop = _legendre_stop(1009, 4096)
+    assert stop > padics.TERM_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(PrecisionCapError, match=f"needs {stop} terms"):
+        euler_eval_certified(v, 1, 4096)
+    assert time.perf_counter() - start < 0.1
+    # the budget is inclusive: the anchor's 25654 terms pass at a budget of
+    # 25654 and are refused at one less; genfact_eval has its own n_max
+    (v,) = places_above(KQ, 101)
+    monkeypatch.setattr(padics, "TERM_BUDGET", 25654)
+    assert euler_eval_certified(v, 3, 256).terms_used == 25654
+    monkeypatch.setattr(padics, "TERM_BUDGET", 25653)
+    with pytest.raises(PrecisionCapError, match="needs 25654 terms"):
+        euler_eval_certified(v, 3, 256)
+    assert genfact_eval(v, 1, 1, 3, 256, 10**5).terms_used == 25654
+
+
+def _phase_places():
+    KQ, K5, Km1 = QuadraticField(), QuadraticField(5), QuadraticField(-1)
+    split_1, split_2 = places_above(K5, 11)
+    return (
+        places_above(KQ, 3)[0],
+        split_1,
+        split_2,
+        places_above(K5, 3)[0],  # inert, sqrt basis, d = 1 mod 4
+        places_above(Km1, 3)[0],  # inert, sqrt basis, d = 3 mod 4
+        places_above(K5, 2)[0],  # inert, omega basis
+        places_above(K5, 5)[0],  # ramified
+        places_above(Km1, 2)[0],  # ramified at 2, d = 3 mod 4
+    )
+
+
+PHASE_PLACES = _phase_places()
+
+
+@st.composite
+def series_inputs(draw):
+    """(v, p0, p1, t, N): P over Z or with algebraic coefficients, an
+    algebraic-integer t != 0, half-integral where d = 1 mod 4, and factors
+    or t made divisible by p now and then."""
+    v = draw(st.sampled_from(PHASE_PLACES))
+    K = QuadraticField(v.d)
+
+    def integer(bound):
+        x, y = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+        if v.d is None:
+            return K(x)
+        if v.d % 4 == 1 and draw(st.booleans()):
+            return K(Fraction(2 * x + 1, 2), Fraction(2 * y + 1, 2))
+        return K(x, y)
+
+    if draw(st.booleans()):
+        p0, p1 = draw(st.integers(-12, 12)), draw(st.sampled_from([x for x in range(-12, 13) if x]))
+    else:
+        p0, p1 = integer(6), integer(4) or K(1)
+    if draw(st.integers(0, 3)) == 0:
+        p0, p1 = p0 * v.p, p1 * v.p
+    t = (integer(8) or K(1)) * draw(st.sampled_from((1, 1, v.p)))
+    return v, p0, p1, t, draw(st.integers(1, 24))
+
+
+def _in_field(K, x):
+    return K(x) if isinstance(x, int) else x
+
+
+def _check_both_phases(v, p0, p1, t, N):
+    K = QuadraticField(v.d)
+    cv = genfact_eval(v, p0, p1, t, N, 10**4)
+    P0, P1 = _in_field(K, p0), _in_field(K, p1)
+    assert (cv.terms_used, cv.tail_valuation_bound) == _exact_stop(v, P0, P1, t, N), (v, p0, p1, t, N)
+    residue = K(*cv.value.sqrt_coordinates())
+    assert _reaches(v, exact_partial_sum(K, P0, P1, t, cv.terms_used) - residue, N), (v, p0, p1, t, N)
+    if P0 == 1 and P1 == 1:
+        assert euler_eval_certified(v, t, N) == cv
+    return cv
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_inputs())
+def test_stop_and_sum_match_exact_valuations(case):
+    # phase 1's stop and tail bound equal the ones found by valuing every
+    # factor exactly, and phase 2's residue agrees with the exact field sum
+    # of the terms used to w_v >= N, at every kind of place
+    v, p0, p1, t, N = case
+    K = QuadraticField(v.d)
+    P0, P1 = _in_field(K, p0), _in_field(K, p1)
+    units = valuation(v, t) == 0 and all(
+        (P0 + P1 * k) and valuation(v, P0 + P1 * k) == 0 for k in range(v.p)
+    )
+    if units:
+        with pytest.raises(NoConvergenceError, match="unit"):
+            genfact_eval(v, p0, p1, t, N, 10**4)
+    else:
+        _check_both_phases(v, p0, p1, t, N)
+
+
+@pytest.mark.parametrize("stop", [31, 32, 33, 64, 65])
+def test_stops_around_the_chunk_length(stop):
+    # inert and ramified places, P over Z: with P(k) = 1 mod p and w(t) = 1
+    # the stop is N itself, and with P(stop - 1) = 0 and a unit t it is the
+    # vanishing factor, so both cuts fall just below, on and just above
+    # multiples of the 32-term chunk
+    K5, Km1 = QuadraticField(5), QuadraticField(-1)
+    phi = K5(Fraction(1, 2), Fraction(1, 2))
+    cases = [
+        (places_above(K5, 3)[0], 3 * phi, phi),
+        (places_above(Km1, 3)[0], Km1(3, 3), Km1(1, 1)),
+        (places_above(K5, 2)[0], 2 * phi, phi),
+        (places_above(K5, 5)[0], K5(5, 5), K5(1, 1)),
+        (places_above(Km1, 2)[0], Km1(4, 2), Km1(2, 1)),
+    ]
+    for v, t_high, t_unit in cases:
+        cv = _check_both_phases(v, 1, v.p, t_high, stop)
+        assert (cv.terms_used, cv.tail_valuation_bound) == (stop, stop)
+        cv = _check_both_phases(v, 1 - stop, 1, t_unit, 2 * stop)
+        assert (cv.terms_used, cv.tail_valuation_bound) == (stop, 2 * stop)
