@@ -92,6 +92,19 @@ def _parsed_list(obj: dict, key: str, K: QuadraticField) -> list[FieldElement]:
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _parsed_valuation(obj: dict, key: str) -> Fraction | None:
+    """obj[key], null or a rational string; a refusal names the key."""
+    value = obj[key]
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be null or a string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
     """The scan's input rules: m nonzero, pairwise distinct algebraic-integer
     alphas and m + 1 algebraic-integer lambdas, not all zero.  A refusal
@@ -115,7 +128,8 @@ def certificate_from_json(obj: dict) -> Certificate:
     strings, that do not parse or that break the scan's input rules, a place
     whose p is not an int, a place that places_above(K, p) does not list or
     whose e and f are not that place's, a prime other than the place's p
-    (null without a place), a precision that is not an int, and a nonzero
+    (null without a place), a precision that is not an int, a valuation that
+    is not null or a rational string, and a nonzero
     claim with a gap or with a precision outside
     1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
     status = obj["status"]
@@ -161,8 +175,8 @@ def certificate_from_json(obj: dict) -> Certificate:
         alphas,
         place,
         precision,
-        None if obj["partial_valuation"] is None else Fraction(obj["partial_valuation"]),
-        None if obj["tail_valuation_bound"] is None else Fraction(obj["tail_valuation_bound"]),
+        _parsed_valuation(obj, "partial_valuation"),
+        _parsed_valuation(obj, "tail_valuation_bound"),
         status,
     )
 
@@ -214,21 +228,23 @@ def verify_certificate(cert: Certificate) -> bool:
 
     The place must be one that places_above lists for the field, the
     precision one that certificate_from_json accepts, and the valuation of
-    the residue must reproduce exactly and still sit below the (now larger)
-    tail bound.  Undetermined certificates claim nothing and verify
-    vacuously; any other status does not verify, and neither does a nonzero
-    certificate with a claim field missing or mistyped, a field_d that names
-    no field, or lambdas and alphas that are not tuples of m + 1 and m
-    algebraic integers.
+    the residue must reproduce exactly, below the record's precision and its
+    tail bound, which the recomputed tail bound must reach.  Undetermined
+    certificates claim nothing and verify vacuously; any other status does
+    not verify, and neither does a nonzero certificate with a claim field
+    missing or mistyped (a bool is not a valuation), a field_d that is not
+    null or an int or names no field, or lambdas and alphas that are not
+    tuples of m + 1 and m algebraic integers.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
     v = cert.place
     if not (
         isinstance(v, Place)
+        and (cert.field_d is None or type(cert.field_d) is int)
         and _claimable_precision(cert.precision)
-        and isinstance(cert.partial_valuation, (int, Fraction))
-        and isinstance(cert.tail_valuation_bound, (int, Fraction))
+        and type(cert.partial_valuation) in (int, Fraction)
+        and type(cert.tail_valuation_bound) in (int, Fraction)
         and isinstance(cert.lambdas, tuple)
         and isinstance(cert.alphas, tuple)
         and len(cert.lambdas) == len(cert.alphas) + 1
@@ -247,9 +263,8 @@ def verify_certificate(cert: Certificate) -> bool:
     return (
         w is not None
         and w == cert.partial_valuation
-        and w < tail
-        and w < precision
-        and tail >= cert.tail_valuation_bound
+        and w < cert.precision
+        and w < cert.tail_valuation_bound <= tail
     )
 
 

@@ -22,13 +22,20 @@ All of it runs on int numerators over one denominator per polynomial (see
 polys): the product series scales the denominators of P and of the point
 once, the order check compares numerators, and the determinant's exact
 divisions are int pseudo-divisions by the norm of the divisor's lead.
+Every entry point refuses, before it builds anything, a call over
+PADE_BUDGET series coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .errors import CutoffTooSmallError, DegeneratePolynomialError, FieldMismatchError
+from .errors import (
+    CutoffTooSmallError,
+    DegeneratePolynomialError,
+    FieldMismatchError,
+    PrecisionCapError,
+)
 from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_points
 from .polys import (
     Poly,
@@ -37,6 +44,26 @@ from .polys import (
     _factorial_series_product,
     _root_power_product,
 )
+
+
+#: the most series coefficients one call may build, counted before anything
+#: is built: m columns of L + mu for a system, m series to the cutoff for an
+#: order check, and the systems for every mu in 0..m for pade_determinant
+#: and select_mu.  The work grows faster than the count, so the slowest calls
+#: it admits have m = 1: pade_construct(1, 799, 1, [1]) takes about 2.2 s,
+#: pade_generic about 2.6 s, pade_determinant(1, 399, [1]) 1.9 s and an order
+#: check to 805 1.2 s; at m = 3 the slowest take about 0.1 s (Python 3.11,
+#: x86-64)
+PADE_BUDGET = 800
+
+
+def _check_budget(series: int, length: int) -> None:
+    """Refuse `series` series of `length` coefficients each over PADE_BUDGET."""
+    if series * length > PADE_BUDGET:
+        raise PrecisionCapError(
+            f"needs {series * length} series coefficients ({series} x {length}), "
+            f"over the budget of PADE_BUDGET = {PADE_BUDGET}"
+        )
 
 
 def _common_field(elems) -> int | None:
@@ -137,6 +164,7 @@ class PadeSystem:
         """
         if not 1 <= j <= self.m:
             raise ValueError(f"j must be in 1..{self.m}")
+        _check_budget(1, n + 1)
         return _factorial_series_product(
             self.B[0], (self.p0, self.p1), self.alpha[j - 1], n + 1
         )[n]
@@ -151,6 +179,7 @@ class PadeSystem:
         start = self.sigma.L + self.mu
         if cutoff < start + max(self.l_vec) + 5:
             raise CutoffTooSmallError(f"cutoff must be at least {start + max(self.l_vec) + 5}")
+        _check_budget(self.m, cutoff)
         orders = []
         for j, (point, lj) in enumerate(zip(self.alpha, self.l_vec), start=1):
             series = _factorial_series_product(self.B[0], (self.p0, self.p1), point, cutoff + 1)
@@ -201,6 +230,7 @@ def pade_construct(m: int, l: int, mu: int, alpha) -> PadeSystem:
     """
     if not 0 <= mu <= m:
         raise ValueError("need m >= 1, l >= 1, 0 <= mu <= m")
+    _check_budget(m, m * l + mu)
     sv = _euler_sigma(m, l, alpha)
     columns, _ = _cleared_columns(sv, mu, 1, 1)
     return PadeSystem(sv.l_vec, mu, sv.beta, 1, 1, sv, columns, sv.poly.d)
@@ -225,6 +255,7 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    _check_budget(len(l_vec), sum(l_vec) + mu)
     d = _common_field((*beta, p0, p1))
     beta = _validated_points(beta, d)
     p0 = _as_elem(p0, d)
@@ -276,31 +307,31 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     Returns (exponent, b, determinant_equal): the determinant is the single
     monomial b * t^(m(m+1)l + m(m-1)/2) with
 
-        b = (-1)^(ml) prod_{mu<m} (ml+mu)! prod_j alpha_j^l
-            * prod_j (sum_i sigma_i i^l alpha_j^i) * prod_{i<j} (alpha_j - alpha_i)
+        b = (-1)^(l m(m-1)/2) (l!)^m prod_{mu<m} (ml+mu)!
+            * prod_j alpha_j^(2l) * Delta^(2l+1),  Delta = prod_{i<j} (alpha_j - alpha_i)
 
     and the flag reports exact agreement with the whole polynomial
     determinant, taken by fraction-free Bareiss elimination over K[t].
     (Expanding along the first column, the lowest order is attained at the
-    row mu = m, whose cofactor sign (-1)^m cancels the (-1)^m coming from
-    negating the m remainder columns; the remaining sign is
-    sigma_ml = (-1)^(ml).)
+    row mu = m, which gives b = (-1)^(ml) prod_{mu<m} (ml+mu)!
+    prod_j alpha_j^l S_j * Delta with S_j = sum_i sigma_i i^l alpha_j^i.
+    Each alpha_j is an l-fold root of sigma, so S_j, the value of
+    (w d/dw)^l sigma at alpha_j, is (-1)^l l! alpha_j^l
+    prod_{k != j} (alpha_k - alpha_j)^l.)  So b is nonzero exactly when the
+    points are nonzero and pairwise distinct.
     """
+    _check_budget(m, sum(m * l + mu for mu in range(m + 1)))
     sv = _euler_sigma(m, l, alpha)
     d, alpha = sv.poly.d, sv.beta
     exponent = m * (m + 1) * l + m * (m - 1) // 2
 
-    sign = -1 if (m * l) % 2 else 1
-    b = _as_elem(sign, d)
-    for mu in range(m):
-        b = b * math.factorial(m * l + mu)
-    for aj in alpha:
-        b = b * aj**l
-    for j in range(1, m + 1):
-        b = b * sigma_annihilation_check(sv, j, l)
+    delta = _as_elem(1, d)
     for i in range(m):
         for j in range(i + 1, m):
-            b = b * (alpha[j] - alpha[i])
+            delta = delta * (alpha[j] - alpha[i])
+    scale = math.factorial(l) ** m * math.prod(math.factorial(m * l + mu) for mu in range(m))
+    sign = -1 if l * (m * (m - 1) // 2) % 2 else 1
+    b = sign * scale * math.prod(alpha) ** (2 * l) * delta ** (2 * l + 1)
 
     matrix = [list(_cleared_columns(sv, mu, 1, 1)[0]) for mu in range(m + 1)]
     det = _poly_det(matrix, d)
@@ -317,12 +348,11 @@ def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:
     m = len(alpha)
     d = _common_field((*lambda_vec, *alpha))
     lambdas = _validated_lambdas(lambda_vec, m, d)
+    _check_budget(m, sum(m * l + mu for mu in range(m + 1)))
+    sv = _euler_sigma(m, l, alpha)
     for mu in range(m + 1):
-        system = pade_construct(m, l, mu, alpha)
-        w = _as_elem(0, d)
-        for lam, bi in zip(lambdas, system.b_values()):
-            w = w + lam * bi
+        columns, _ = _cleared_columns(sv, mu, 1, 1)
+        w = sum((lam * column(1) for lam, column in zip(lambdas, columns)), _as_elem(0, d))
         if w:
             return mu, w
     raise RuntimeError("no mu produced a nonzero W; determinant nonvanishing violated")
-

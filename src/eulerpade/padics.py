@@ -30,15 +30,15 @@ residue, or a norm that vanishes mod 2^N at a 2-adic ramified place), so
 every reported tail bound is exact.  Between two such factors the bound
 grows by w_v(t) a term, so the cut there is one division.  When w_v(t) = 0
 and P(0), ..., P(p-1) are all units no term can ever clear the target, and
-the sum refuses at once; a sum without a term limit refuses a stop over
-TERM_BUDGET before the first term.  Phase 2 sums the terms before the stop
-with no valuation work: on int residues at rational and split places; at
-inert and ramified places with P over Z, on exact pairs in Z[x], x = sqrt(d)
-or omega = (1 + sqrt(d))/2 when d = 1 mod 4 so that a half-integral t stays
-small, in chunks whose factor products and powers of t are exact, two
-products mod p^N a chunk, converted to the place's basis at the end; and
-with an algebraic P, one pair product mod p^N a term.  Only the result
-becomes a CompletionElement.
+the sum refuses at once; a sum without a term limit refuses, before the
+first term, a stop whose cost in word products is over TERM_BUDGET.
+Phase 2 sums the terms before the stop with no valuation work: on int
+residues at rational and split places; at inert and ramified places with
+P over Z, on exact pairs in Z[x], x = sqrt(d) or omega = (1 + sqrt(d))/2
+when d = 1 mod 4 so that a half-integral t stays small, in chunks whose
+factor products and powers of t are exact, two products mod p^N a chunk,
+converted to the place's basis at the end; and with an algebraic P, one
+pair product mod p^N a term.  Only the result becomes a CompletionElement.
 """
 
 from __future__ import annotations
@@ -63,11 +63,23 @@ from .places import RAMIFIED, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image,
 #: hard ceiling on the requested residue precision N
 PRECISION_CAP = 4096
 
-#: the most terms a sum without a term limit (euler_eval_certified) may
-#: take; the stop is known before the first term, so a larger one is
-#: refused at once.  Euler's series at p = 101, N = 256 takes 25654 terms,
-#: at p = 1009, N = 4096 about 4.1 million
-TERM_BUDGET = 10**6
+#: the most work a sum without a term limit (euler_eval_certified) may do,
+#: in word products: a term multiplies a residue mod p^N by t's multiplier,
+#: so it costs (64-bit words of p^N) * (words of t) + _TERM_OVERHEAD, where
+#: t's words are those of its signed residue at rational and split places
+#: (as long as p^N at split ones) and of its exact coordinates at inert and
+#: ramified ones.  The stop is known before the first term, so a larger sum
+#: is refused at once.  A word product costs 0.015-0.03 us, and the slowest
+#: sums admitted took 0.8-1.7 s with t = 1 or 2 + sqrt 5 at rational,
+#: split and inert places of p = 1009 and p = 100003 to 300007 (Python
+#: 3.11, x86-64).  Euler's series costs 1.2 million at p = 101, N = 256,
+#: 15 million at p = 1009, N = 256 and 2.7 billion at p = 1009, N = 4096
+TERM_BUDGET = 64 * 10**6
+
+#: a term's cost beyond its word product, in word products: at p^N of 1 to
+#: 3 words a term took about 0.2 us at rational places and 0.7 us at inert
+#: ones, where a word product costs about 0.022 and 0.03 us
+_TERM_OVERHEAD = 20
 
 #: terms per chunk of the exact pair kernel
 _CHUNK = 32
@@ -255,8 +267,8 @@ def euler_eval_certified(v: Place, alpha, n_target: int) -> CertifiedValue:
     algebraic integer, so v_p(n!) + n*w_v(alpha) is a nondecreasing exact
     lower bound for the term at index n; the first index whose bound
     reaches the target closes the sum, and the bound achieved there is
-    reported.  That index is found before the first term, and one over
-    TERM_BUDGET raises PrecisionCapError.
+    reported.  That index is found before the first term, and a sum whose
+    cost is over TERM_BUDGET word products raises PrecisionCapError.
     """
     _check_precision(n_target)
     return _sum_factorial_series(v, 1, 1, _algebraic_integer(alpha, v.d), n_target, None)
@@ -289,10 +301,11 @@ def _sum_factorial_series(
 
     t is an algebraic integer, so w_v(t) >= 0; p0 and p1 are either both
     ints or both algebraic-integer field elements.  n_max None sums
-    without a term limit, up to TERM_BUDGET terms.  Valuations are counted
-    in half-units (w2 is 2*w_v), which keeps them ints at ramified places
-    too.  The stopping index comes first, from valuations alone, and then
-    the terms before it are summed with no valuation work.
+    without a term limit, up to a cost of TERM_BUDGET word products.
+    Valuations are counted in half-units (w2 is 2*w_v), which keeps them
+    ints at ramified places too.  The stopping index comes first, from
+    valuations alone, and then the terms before it are summed with no
+    valuation work.
     """
     if not t:
         return CertifiedValue(CompletionElement.one(v, n_target), Fraction(n_target), 1)
@@ -308,13 +321,24 @@ def _sum_factorial_series(
         f = CompletionElement.from_field_element(v, n_target, p0)
         step = CompletionElement.from_field_element(v, n_target, p1)
     stop, bound2 = _stopping_index(v, p0, p1, f, step, w2_t, n_target, n_max)
-    if n_max is None and stop > TERM_BUDGET:
-        raise PrecisionCapError(
-            f"the sum at {v} to precision {n_target} needs {stop} terms, "
-            f"over the budget of {TERM_BUDGET}"
-        )
+    if n_max is None:
+        if v.splitting in (RATIONAL, SPLIT_1, SPLIT_2):
+            size = min(t_c.a, mod - t_c.a)
+        else:
+            A, B, _ = t.integral_form()
+            size = max(A, -A, B, -B)
+        cost = stop * (_words(mod) * _words(size) + _TERM_OVERHEAD)
+        if cost > TERM_BUDGET:
+            raise PrecisionCapError(
+                f"the sum at {v} to precision {n_target} needs {stop} terms, "
+                f"{cost} word products, over the budget of {TERM_BUDGET}"
+            )
     a, b = _partial_sum(v, p0, p1, f, step, t, t_c, stop, mod)
     return CertifiedValue(CompletionElement(v, n_target, a, b), Fraction(bound2, 2), stop)
+
+
+def _words(x: int) -> int:
+    return -(-x.bit_length() // 64)
 
 
 def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) -> tuple[int, int]:

@@ -373,6 +373,15 @@ def test_certify_examples(KQ):
     assert cert2.partial_valuation == 0
 
 
+def test_certify_at_a_large_prime_within_the_term_budget(KQ):
+    # the scan's sum at p = 150001, N = 4 takes 600004 terms and the
+    # re-verification's at N = 8 1200008, each on a p^N of at most 3 words
+    cert = certify_nonvanishing(KQ, [1, 1], [1], 150001, 150001)
+    assert cert.status == "nonzero"
+    assert (cert.place.p, cert.precision) == (150001, 4)
+    assert verify_certificate(certificate_from_json(cert.to_json()))
+
+
 def test_certify_fibonacci(K5):
     K, lambdas, alphas = fibonacci_linear_form(1, 1)
     assert K.d == 5

@@ -77,6 +77,24 @@ def test_bound_chain_outside_the_double_range_is_an_input_error(capsys, argv):
     assert err.startswith("eulerpade: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pade", "--m", "3", "--l", "300", "--mu", "0", "--alphas", "1;2;3"],
+        ["pade", "--m", "1", "--l", "3000", "--mu", "0", "--alphas", "7"],
+        ["pade", "--m", "4", "--l", "500", "--mu", "0", "--alphas", "1;2;3;4"],
+    ],
+)
+def test_pade_over_the_work_budget_is_refused_at_once(capsys, argv):
+    # these ran for 50 s and past 300 s; the budget refuses them before
+    # sigma is expanded
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("eulerpade: error: ") and "PADE_BUDGET" in err
+
+
 def test_fib_certificate(capsys):
     code, out, _ = run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--pmax", "50", "--json"])
     assert code == 0

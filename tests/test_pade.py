@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import eulerpade
 from eulerpade import bounds, certify, pade
@@ -14,6 +15,7 @@ from eulerpade.errors import (
     CutoffTooSmallError,
     DegeneratePolynomialError,
     FieldMismatchError,
+    PrecisionCapError,
     RepeatedAlphaError,
     ZeroAlphaError,
 )
@@ -363,6 +365,86 @@ def test_determinant_quadratic_field(K5):
     phi = K5(Fraction(1, 2), Fraction(1, 2))
     exponent, b, ok = pade_determinant(2, 1, [phi, phi.conjugate()])
     assert ok and exponent == 7 and b
+
+
+@st.composite
+def _points(draw, max_m=4):
+    """(K, m, l, points): m <= max_m nonzero, pairwise distinct points of
+    Q, Q(sqrt 5) or Q(sqrt -1) with coordinates over 1 or 2, and l <= 3."""
+    K = QuadraticField(draw(st.sampled_from([None, 5, -1])))
+    m, l = draw(st.integers(1, max_m)), draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2]))
+    y = st.just(Fraction(0)) if K.d is None else coord
+    point = st.builds(K, coord, y).filter(bool)
+    return K, m, l, draw(st.lists(point, min_size=m, max_size=m, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points())
+def test_determinant_coefficient_is_the_papers_product(case):
+    # b as the paper writes it, with S_j = sum_i sigma_i i^l alpha_j^i summed
+    # over sigma: (-1)^(ml) prod_{mu<m} (ml+mu)! prod_j alpha_j^l S_j
+    # prod_{i<j} (alpha_j - alpha_i)
+    K, m, l, alphas = case
+    sv = sigma_coeffs([l] * m, alphas)
+    b = K((-1) ** (m * l) * math.prod(math.factorial(m * l + mu) for mu in range(m)))
+    for j, aj in enumerate(alphas, start=1):
+        b = b * aj**l * sigma_annihilation_check(sv, j, l)
+    for i, j in itertools.combinations(range(m), 2):
+        b = b * (alphas[j] - alphas[i])
+    assert pade_determinant(m, l, alphas) == (m * (m + 1) * l + m * (m - 1) // 2, b, True)
+
+
+def _select_mu_reference(l, lambdas, alphas):
+    """The least mu whose pade_construct system gives a nonzero W."""
+    for mu in range(len(alphas) + 1):
+        system = pade_construct(len(alphas), l, mu, alphas)
+        w = sum((lam * B(1) for lam, B in zip(lambdas, system.B)), 0)
+        if w:
+            return mu, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points(max_m=3), st.data())
+def test_select_mu_matches_a_construct_per_mu(case, data):
+    K, m, l, alphas = case
+    if data.draw(st.booleans()):
+        lambdas = data.draw(st.lists(st.integers(-3, 3), min_size=m + 1, max_size=m + 1))
+        assume(any(lambdas))
+    else:
+        # a form with W(l, 0) = 0, so the search must go past mu = 0
+        b = pade_construct(m, l, 0, alphas).b_values()
+        lambdas = [b[1], -b[0]] + [0] * (m - 1)
+    assert select_mu(l, lambdas, alphas) == _select_mu_reference(l, lambdas, alphas)
+
+
+def test_pade_budget_refuses_before_building(monkeypatch):
+    # each entry point counts the series coefficients it would build and
+    # refuses a count over PADE_BUDGET before it expands sigma
+    def no_sigma(*args):
+        raise AssertionError("sigma expanded")
+
+    monkeypatch.setattr(pade, "sigma_coeffs", no_sigma)
+    calls = [
+        (lambda: pade_construct(1, 3000, 0, [7]), 3000),
+        (lambda: pade_construct(3, 300, 0, [1, 2, 3]), 2700),
+        (lambda: pade_construct(4, 500, 0, [1, 2, 3, 4]), 8000),
+        (lambda: pade_generic([400, 401], 0, [1, 2], 1, 1), 1602),
+        (lambda: pade_determinant(2, 100, [1, 2]), 1206),
+        (lambda: select_mu(400, [1, 1], [1]), 801),
+    ]
+    for call, count in calls:
+        with pytest.raises(PrecisionCapError, match=f"needs {count} series coefficients"):
+            call()
+    monkeypatch.undo()
+    system = pade_construct(2, 3, 1, [1, 2])
+    with pytest.raises(PrecisionCapError, match="needs 802 series coefficients"):
+        system.order_check(401)
+    with pytest.raises(PrecisionCapError, match="needs 802 series coefficients"):
+        system.remainder_coefficient(801, 1)
+    # the budget is inclusive: 2 x 400 and 1 x 800 coefficients are built
+    assert min(system.order_check(400)) >= system.order_target
+    system.remainder_coefficient(799, 1)
 
 
 def _cofactor_det(matrix, d):

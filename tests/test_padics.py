@@ -602,24 +602,45 @@ def test_canonical_sqrt_mod_refusals_are_not_split():
 
 
 def test_term_budget_refuses_before_summing(KQ, monkeypatch):
-    # p = 1009, N = 4096 needs about 4.1M terms; the stop is known before
-    # the first term, so the refusal names it at once
+    # p = 1009, N = 4096 needs about 4.1M terms of a 639-word p^N; the stop
+    # is known before the first term, so the refusal names it at once
     (v,) = places_above(KQ, 1009)
     stop = _legendre_stop(1009, 4096)
-    assert stop > padics.TERM_BUDGET
+    cost = stop * (639 + padics._TERM_OVERHEAD)
+    assert cost > padics.TERM_BUDGET
     start = time.perf_counter()
-    with pytest.raises(PrecisionCapError, match=f"needs {stop} terms"):
+    with pytest.raises(PrecisionCapError, match=f"needs {stop} terms, {cost} word products"):
         euler_eval_certified(v, 1, 4096)
     assert time.perf_counter() - start < 0.1
-    # the budget is inclusive: the anchor's 25654 terms pass at a budget of
-    # 25654 and are refused at one less; genfact_eval has its own n_max
+    # the budget is inclusive, in word products: the anchor's 25654 terms of
+    # a 27-word p^N with t = 3 pass at a budget of exactly their cost and are
+    # refused at one less; genfact_eval has its own n_max
     (v,) = places_above(KQ, 101)
-    monkeypatch.setattr(padics, "TERM_BUDGET", 25654)
+    cost = 25654 * (27 + padics._TERM_OVERHEAD)
+    monkeypatch.setattr(padics, "TERM_BUDGET", cost)
     assert euler_eval_certified(v, 3, 256).terms_used == 25654
-    monkeypatch.setattr(padics, "TERM_BUDGET", 25653)
-    with pytest.raises(PrecisionCapError, match="needs 25654 terms"):
+    monkeypatch.setattr(padics, "TERM_BUDGET", cost - 1)
+    with pytest.raises(PrecisionCapError, match=f"needs 25654 terms, {cost} word products"):
         euler_eval_certified(v, 3, 256)
     assert genfact_eval(v, 1, 1, 3, 256, 10**5).terms_used == 25654
+
+
+def test_term_budget_weighs_terms_by_their_products(KQ, K5):
+    # a term multiplies a residue mod p^N by t's multiplier, so the budget
+    # admits a million cheap terms at a large p and refuses far fewer long
+    # ones: 1200008 terms mod a 3-word 150001^8 pass, and so do the 258304
+    # terms mod a 40-word 1009^256 with t = 1; at a split place t's image is
+    # as long as p^N, and the same count of 40-word by 40-word products is
+    # refused before the first term
+    (v,) = places_above(KQ, 150001)
+    assert euler_eval_certified(v, 1, 8).terms_used == 1200008
+    (v,) = places_above(KQ, 1009)
+    assert euler_eval_certified(v, 1, 256).terms_used == 258304
+    split = places_above(K5, 1009)[0]
+    start = time.perf_counter()
+    with pytest.raises(PrecisionCapError, match="needs 258304 terms, 418452480 word products"):
+        euler_eval_certified(split, K5(2, 1), 256)
+    assert time.perf_counter() - start < 0.1
 
 
 def _phase_places():
