@@ -217,6 +217,8 @@ def certify_nonvanishing(
                         K.d, lambdas, alphas, v, n, w, tail, "nonzero"
                     )
                     if not verify_certificate(cert):
+                        # raises PrecisionCapError when the check is over the term budget
+                        linear_form_value(lambdas, alphas, v, n + VERIFY_EXTRA_DIGITS)
                         raise RuntimeError("re-verification failed; evaluator inconsistent")
                     return cert
                 n *= 2
@@ -233,8 +235,9 @@ def verify_certificate(cert: Certificate) -> bool:
     certificates claim nothing and verify vacuously; any other status does
     not verify, and neither does a nonzero certificate with a claim field
     missing or mistyped (a bool is not a valuation), a field_d that is not
-    null or an int or names no field, or lambdas and alphas that are not
-    tuples of m + 1 and m algebraic integers.
+    null or an int or names no field, lambdas and alphas that are not
+    tuples of m + 1 and m algebraic integers, or a claim whose
+    re-evaluation is over the term budget of padics.
     """
     if cert.status != "nonzero":
         return cert.status == "undetermined"
@@ -258,7 +261,10 @@ def verify_certificate(cert: Certificate) -> bool:
     except (TypeError, ValueError):
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
-    value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
+    try:
+        value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
+    except PrecisionCapError:
+        return False
     w = value.valuation_lower()
     return (
         w is not None

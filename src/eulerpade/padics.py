@@ -32,13 +32,15 @@ grows by w_v(t) a term, so the cut there is one division.  When w_v(t) = 0
 and P(0), ..., P(p-1) are all units no term can ever clear the target, and
 the sum refuses at once; a sum without a term limit refuses, before the
 first term, a stop whose cost in word products is over TERM_BUDGET.
-Phase 2 sums the terms before the stop with no valuation work: on int
-residues at rational and split places; at inert and ramified places with
-P over Z, on exact pairs in Z[x], x = sqrt(d) or omega = (1 + sqrt(d))/2
-when d = 1 mod 4 so that a half-integral t stays small, in chunks whose
-factor products and powers of t are exact, two products mod p^N a chunk,
-converted to the place's basis at the end; and with an algebraic P, one
-pair product mod p^N a term.  Only the result becomes a CompletionElement.
+Phase 2 sums the terms before the stop with no valuation work.  With P
+over Z one kernel sums chunks of 32 terms on exact factor products and
+powers of t (reduced mod p^N once they outgrow its words), combined by
+Horner's rule at one product mod p^N a chunk: on t's exact pair in Z[x],
+x = sqrt(d) or omega = (1 + sqrt(d))/2 when d = 1 mod 4, at inert and
+ramified places, and on t's signed residue at rational and split places
+when p^N is wider than 128 bits and than a chunk's factor products, or t
+is wider than a word.  Other sums go one term, and one product mod p^N, at
+a time.  Only the result becomes a CompletionElement.
 """
 
 from __future__ import annotations
@@ -69,10 +71,11 @@ PRECISION_CAP = 4096
 #: t's words are those of its signed residue at rational and split places
 #: (as long as p^N at split ones) and of its exact coordinates at inert and
 #: ramified ones.  The stop is known before the first term, so a larger sum
-#: is refused at once.  A word product costs 0.015-0.03 us, and the slowest
-#: sums admitted took 0.8-1.7 s with t = 1 or 2 + sqrt 5 at rational,
-#: split and inert places of p = 1009 and p = 100003 to 300007 (Python
-#: 3.11, x86-64).  Euler's series costs 1.2 million at p = 101, N = 256,
+#: is refused at once.  The chunk kernel makes split places and huge points
+#: cheaper than that; the pricing is kept on purpose, so the budget admits
+#: the same sums.  The slowest admitted, with t = 1 or 2 + sqrt 5 at p = 1009
+#: and p = 100003 to 300007, took 0.2 s (split@1009) to 2.0 s (inert@300007;
+#: Python 3.11, x86-64).  Euler's series costs 1.2 million at p = 101, N = 256,
 #: 15 million at p = 1009, N = 256 and 2.7 billion at p = 1009, N = 4096
 TERM_BUDGET = 64 * 10**6
 
@@ -433,9 +436,14 @@ def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max):
 def _partial_sum(v: Place, p0, p1, f, step, t: FieldElement, t_c, stop: int, mod: int):
     """The pair of sum_{n < stop} [P]_n t^n mod `mod` in the place's basis."""
     if t_c.basis == _INT:
-        # the multiplier t*P(n-1) that takes term n-1 to term n, stepped by
-        # t*p1; t's residue is taken signed, so a small t keeps it short
+        # t's residue is taken signed, so a small t keeps it short
         ta = t_c.a - mod if 2 * t_c.a > mod else t_c.a
+        # the chunks pay mod a p^N over two words, unless t fits in a word
+        # and a chunk's exact factor products are wider than p^N anyway
+        width = mod.bit_length()
+        if f is None and width > 128 and (ta.bit_length() > 64 or width > _CHUNK * (abs(p0) + abs(p1) * stop).bit_length()):
+            return _chunked_pair_sum(p0, p1, ta, 0, 0, 0, stop, mod)
+        # the multiplier t*P(n-1) that takes term n-1 to term n, stepped by t*p1
         m, dm = (ta * p0, ta * p1) if f is None else (ta * f.a, ta * step.a)
         a = sa = 1
         for _ in range(stop - 1):
@@ -470,35 +478,37 @@ def _partial_sum(v: Place, p0, p1, f, step, t: FieldElement, t_c, stop: int, mod
 
 def _chunked_pair_sum(p0: int, p1: int, u: int, w: int, c: int, s: int, stop: int, mod: int):
     """sum_{n < stop} [P]_n t^n mod `mod` for P(x) = p0 + p1*x over Z and
-    t = u + w*x in Z[x], x^2 = c + s*x.
+    t = u + w*x in Z[x], x^2 = c + s*x; an int t has w = 0.
 
-    The terms go in chunks of _CHUNK: within a chunk the factor products
-    and the powers of t are exact ints, so a chunk costs two dot products,
-    and only its sum and the term that opens the next chunk are products
-    mod `mod`.
+    A chunk of _CHUNK terms opening at n0 sums to [P]_n0 t^n0 D(n0), D(n0) a
+    dot product of exact factor products with powers of t, exact while they
+    fit in the words of `mod` (judged once) and reduced otherwise.  Horner's
+    rule from the last chunk, acc = D(n0) + ([P] over the chunk) t^size acc,
+    costs one product mod `mod` a chunk.
     """
     size = min(stop, _CHUNK)
-    pa, pb = [], []  # t^0 .. t^(size-1)
+    reduce = size * max(u, -u, w, -w).bit_length() > 64 * _words(mod)
+    pa, pb = [1], [0]  # t^0 .. t^size; t^size, which steps a chunk, only if there are two
     la, lb = 1, 0
-    for _ in range(size):
+    cw, sw = c * w, u + s * w  # t*(a + b*x) = (u*a + c*w*b) + (w*a + (u + s*w)*b)*x
+    for _ in range(min(stop - 1, _CHUNK)):
+        la, lb = u * la + cw * lb, w * la + sw * lb
+        if reduce:
+            la, lb = la % mod, lb % mod
         pa.append(la)
         pb.append(lb)
-        bw = lb * w
-        la, lb = la * u + c * bw, la * w + lb * u + s * bw
-    # la + lb*x = t^size steps one chunk's first term to the next
-    ga, gb = 1, 0  # the term [P]_n0 t^n0 that opens the chunk
     sa = sb = 0
-    for n0 in range(0, stop, size):
+    for n0 in reversed(range(0, stop, size)):
         last = min(size, stop - n0) - 1
         f0 = p0 + p1 * n0
         # q[i] = P(n0) ... P(n0 + i - 1), the factors of term n0 + i past term n0
         q = list(accumulate(range(f0, f0 + p1 * last, p1), mul, initial=1))
-        ca, cb = _pair_mul(ga, gb, sum(map(mul, q, pa)), sum(map(mul, q, pb)), c, s, mod)
-        sa += ca
-        sb += cb
         if n0 + size < stop:
             whole = q[-1] * (f0 + p1 * last)
-            ga, gb = _pair_mul(ga, gb, whole * la, whole * lb, c, s, mod)
+            sa, sb = _pair_mul(whole * la, whole * lb, sa, sb, c, s, mod)
+        sa += sum(map(mul, q, pa))
+        if w:
+            sb += sum(map(mul, q, pb))
     return sa % mod, sb % mod
 
 

@@ -22,6 +22,18 @@ def Km1():
     return QuadraticField(-1)
 
 
+@pytest.fixture
+def over_budget_record():
+    """A nonzero certificate record at rational@47 that certificate_from_json
+    accepts and whose re-evaluation at precision 4096 needs 188470 terms of
+    a 355-word p^N, over padics.TERM_BUDGET."""
+    return {
+        "field_d": None, "lambdas": ["1", "1"], "alphas": ["1"], "prime": 47,
+        "place": {"p": 47, "splitting": "rational", "e": 1, "f": 1}, "precision": 4092,
+        "partial_valuation": "0", "tail_valuation_bound": "4092", "status": "nonzero",
+    }
+
+
 def random_integral_element(rng: random.Random, K: QuadraticField, lo=-50, hi=50) -> FieldElement:
     """A random nonzero algebraic integer with coordinates within [lo, hi];
     for d = 1 mod 4 half of the draws use half-integer coordinates."""

@@ -776,6 +776,17 @@ def test_certificate_precision_limits():
         certificate_from_json(record)
 
 
+def test_a_claim_over_the_term_budget_does_not_verify(KQ, monkeypatch, over_budget_record):
+    padics._series_value.cache_clear()
+    assert verify_certificate(certificate_from_json(over_budget_record)) is False
+    # the scan still refuses a claim it cannot re-verify, naming the budget:
+    # the claim at rational@2, precision 4, sums 6 one-word terms (126 word
+    # products), and its re-verification at precision 8 sums 10 (210)
+    monkeypatch.setattr(padics, "TERM_BUDGET", 126)
+    with pytest.raises(PrecisionCapError, match="10 terms, 210 word products, over the budget of 126"):
+        certify_nonvanishing(KQ, [1, 1], [1], 2, 50)
+
+
 @pytest.mark.parametrize("place", [None, "inert@2", {"p": 2, "splitting": "inert"}])
 def test_certificate_built_with_a_bad_place_does_not_verify(place):
     cert = certificate_from_json(_fib_record())

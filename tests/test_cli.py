@@ -443,6 +443,12 @@ def test_verify_refuses_a_forged_record(capsys, monkeypatch, argv, forge):
     assert err.startswith("eulerpade: error: ") and err.count("\n") == 1
 
 
+def test_verify_refuses_a_claim_over_the_term_budget(capsys, monkeypatch, over_budget_record):
+    code, out, err = verify_text(capsys, monkeypatch, json.dumps(over_budget_record))
+    assert (code, out) == (1, "")
+    assert err == "eulerpade: error: the certificate does not verify\n"
+
+
 @pytest.mark.parametrize("text", ["", "{", "not json", "[]", "3", '"record"', "null"])
 def test_verify_refuses_what_is_not_a_record(capsys, monkeypatch, text):
     code, out, err = verify_text(capsys, monkeypatch, text)

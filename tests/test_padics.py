@@ -698,6 +698,7 @@ def _check_both_phases(v, p0, p1, t, N):
     assert (cv.terms_used, cv.tail_valuation_bound) == _exact_stop(v, P0, P1, t, N), (v, p0, p1, t, N)
     residue = K(*cv.value.sqrt_coordinates())
     assert _reaches(v, exact_partial_sum(K, P0, P1, t, cv.terms_used) - residue, N), (v, p0, p1, t, N)
+    assert cv.value.b == 0 or v.splitting in ("inert", "ramified")
     if P0 == 1 and P1 == 1:
         assert euler_eval_certified(v, t, N) == cv
     return cv
@@ -722,23 +723,51 @@ def test_stop_and_sum_match_exact_valuations(case):
         _check_both_phases(v, p0, p1, t, N)
 
 
-@pytest.mark.parametrize("stop", [31, 32, 33, 64, 65])
-def test_stops_around_the_chunk_length(stop):
-    # inert and ramified places, P over Z: with P(k) = 1 mod p and w(t) = 1
-    # the stop is N itself, and with P(stop - 1) = 0 and a unit t it is the
-    # vanishing factor, so both cuts fall just below, on and just above
-    # multiples of the 32-term chunk
-    K5, Km1 = QuadraticField(5), QuadraticField(-1)
+def _chunk_cases():
+    """(v, t_high, t_unit) at every kind of place, w_v(t_high) = 1 and
+    t_unit a unit: negative points at rational and split places, and points
+    whose powers pass p^N at rational@7 and inert@3."""
+    KQ, K5, Km1 = QuadraticField(), QuadraticField(5), QuadraticField(-1)
     phi = K5(Fraction(1, 2), Fraction(1, 2))
-    cases = [
-        (places_above(K5, 3)[0], 3 * phi, phi),
-        (places_above(Km1, 3)[0], Km1(3, 3), Km1(1, 1)),
-        (places_above(K5, 2)[0], 2 * phi, phi),
-        (places_above(K5, 5)[0], K5(5, 5), K5(1, 1)),
-        (places_above(Km1, 2)[0], Km1(4, 2), Km1(2, 1)),
+    split_1, split_2 = places_above(K5, 11)
+    big = K5(2**200, 1)  # norm 2^400 - 5, a unit at 3
+    return [
+        (places_above(KQ, 3)[0], KQ(-3), KQ(-2)),
+        (places_above(KQ, 7)[0], KQ(7 * 3**60), KQ(-(3**60))),
+        (split_1, 11 * phi, K5(-2, -1)),
+        (split_2, K5(-11, 11), phi),
+        (places_above(K5, 3)[0], 3 * phi, phi),  # inert, sqrt basis, d = 1 mod 4
+        (places_above(K5, 3)[0], 3 * big, big),
+        (places_above(Km1, 3)[0], Km1(3, 3), Km1(1, 1)),  # inert, d = 3 mod 4
+        (places_above(K5, 2)[0], 2 * phi, phi),  # inert, omega basis
+        (places_above(K5, 5)[0], K5(5, 5), K5(1, 1)),  # ramified
+        (places_above(Km1, 2)[0], Km1(4, 2), Km1(2, 1)),  # ramified at 2, d = 3 mod 4
     ]
-    for v, t_high, t_unit in cases:
-        cv = _check_both_phases(v, 1, v.p, t_high, stop)
+
+
+CHUNK_CASES = _chunk_cases()
+
+
+@pytest.mark.parametrize("stop", [1, 31, 32, 33, 64, 65])
+def test_stops_around_the_chunk_length(stop):
+    # P over Z with p1 > 1: with P = 1 + p*x, so P(k) = 1 mod p, and
+    # w(t) = 1 the stop is N itself, and with P = (p + 1)(x - stop + 1),
+    # which vanishes at stop - 1, and a unit t it is the vanishing factor,
+    # so the cuts fall just below, on and just above multiples of the
+    # 32-term chunk.  The vanishing-factor sums run with p^N on both sides
+    # of 2^128, where rational and split places may switch from a per-term
+    # loop to the chunks, and at three times the narrower precision, where
+    # p^N is wider than a chunk's factor products and small points take
+    # the chunks too.  Each residue and tail bound is checked against
+    # the exact field sum of the terms, one term at a time, and an exact
+    # valuation of every factor (_check_both_phases); Euler's series at the
+    # same points is checked the same way
+    for v, t_high, t_unit in CHUNK_CASES:
+        p = v.p
+        cv = _check_both_phases(v, 1, p, t_high, stop)
         assert (cv.terms_used, cv.tail_valuation_bound) == (stop, stop)
-        cv = _check_both_phases(v, 1 - stop, 1, t_unit, 2 * stop)
-        assert (cv.terms_used, cv.tail_valuation_bound) == (stop, 2 * stop)
+        narrow = max(N for N in range(1, 200) if (p**N).bit_length() <= 128)
+        for N in (narrow, narrow + 1, 3 * narrow):
+            cv = _check_both_phases(v, -(p + 1) * (stop - 1), p + 1, t_unit, N)
+            assert (cv.terms_used, cv.tail_valuation_bound) == (stop, N)
+        _check_both_phases(v, 1, 1, t_high, stop)
