@@ -217,8 +217,7 @@ def certify_nonvanishing(
                         K.d, lambdas, alphas, v, n, w, tail, "nonzero"
                     )
                     if not verify_certificate(cert):
-                        # raises PrecisionCapError when the check is over the term budget
-                        linear_form_value(lambdas, alphas, v, n + VERIFY_EXTRA_DIGITS)
+                        _recheck(cert)  # a check over the term budget raises PrecisionCapError
                         raise RuntimeError("re-verification failed; evaluator inconsistent")
                     return cert
                 n *= 2
@@ -239,6 +238,14 @@ def verify_certificate(cert: Certificate) -> bool:
     tuples of m + 1 and m algebraic integers, or a claim whose
     re-evaluation is over the term budget of padics.
     """
+    try:
+        return _recheck(cert)
+    except PrecisionCapError:
+        return False
+
+
+def _recheck(cert: Certificate) -> bool:
+    """verify_certificate, but a check over the term budget raises PrecisionCapError."""
     if cert.status != "nonzero":
         return cert.status == "undetermined"
     v = cert.place
@@ -261,10 +268,7 @@ def verify_certificate(cert: Certificate) -> bool:
     except (TypeError, ValueError):
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
-    try:
-        value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
-    except PrecisionCapError:
-        return False
+    value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
     w = value.valuation_lower()
     return (
         w is not None

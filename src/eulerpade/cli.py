@@ -32,11 +32,11 @@ from .bounds import (
     residue_condition,
 )
 from .certify import (
+    _recheck,
     certificate_from_json,
     certify_nonvanishing,
     even_factorial_linear_form,
     fibonacci_linear_form,
-    verify_certificate,
 )
 from .errors import EulerPadeError, InvalidPrimeError, PrecisionCapError
 from .numfield import QuadraticField
@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"the certificate record has no key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed certificate record: {exc}") from None
-    if not verify_certificate(cert):
+    if not _recheck(cert):  # a check over the term budget raises PrecisionCapError, naming it
         raise ValueError("the certificate does not verify")
     if cert.status == "nonzero":
         human = f"verified: nonzero at {cert.place} (precision {cert.precision})"

@@ -38,9 +38,9 @@ powers of t (reduced mod p^N once they outgrow its words), combined by
 Horner's rule at one product mod p^N a chunk: on t's exact pair in Z[x],
 x = sqrt(d) or omega = (1 + sqrt(d))/2 when d = 1 mod 4, at inert and
 ramified places, and on t's signed residue at rational and split places
-when p^N is wider than 128 bits and than a chunk's factor products, or t
-is wider than a word.  Other sums go one term, and one product mod p^N, at
-a time.  Only the result becomes a CompletionElement.
+when that residue is wider than 128 bits, as it is at split places with a
+wider p^N and for huge points.  Other sums go one term, and one product
+mod p^N, at a time.  Only the result becomes a CompletionElement.
 """
 
 from __future__ import annotations
@@ -438,10 +438,9 @@ def _partial_sum(v: Place, p0, p1, f, step, t: FieldElement, t_c, stop: int, mod
     if t_c.basis == _INT:
         # t's residue is taken signed, so a small t keeps it short
         ta = t_c.a - mod if 2 * t_c.a > mod else t_c.a
-        # the chunks pay mod a p^N over two words, unless t fits in a word
-        # and a chunk's exact factor products are wider than p^N anyway
-        width = mod.bit_length()
-        if f is None and width > 128 and (ta.bit_length() > 64 or width > _CHUNK * (abs(p0) + abs(p1) * stop).bit_length()):
+        # chunks pay once t is over two words (split places at a wider p^N,
+        # huge points); a narrower t is as fast or faster one term at a time
+        if f is None and ta.bit_length() > 128:
             return _chunked_pair_sum(p0, p1, ta, 0, 0, 0, stop, mod)
         # the multiplier t*P(n-1) that takes term n-1 to term n, stepped by t*p1
         m, dm = (ta * p0, ta * p1) if f is None else (ta * f.a, ta * step.a)

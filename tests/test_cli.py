@@ -446,7 +446,10 @@ def test_verify_refuses_a_forged_record(capsys, monkeypatch, argv, forge):
 def test_verify_refuses_a_claim_over_the_term_budget(capsys, monkeypatch, over_budget_record):
     code, out, err = verify_text(capsys, monkeypatch, json.dumps(over_budget_record))
     assert (code, out) == (1, "")
-    assert err == "eulerpade: error: the certificate does not verify\n"
+    assert err == (
+        "eulerpade: error: the sum at rational@47 to precision 4096 needs 188470 terms, "
+        "70864720 word products, over the budget of 64000000\n"
+    )
 
 
 @pytest.mark.parametrize("text", ["", "{", "not json", "[]", "3", '"record"', "null"])

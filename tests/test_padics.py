@@ -726,14 +726,14 @@ def test_stop_and_sum_match_exact_valuations(case):
 def _chunk_cases():
     """(v, t_high, t_unit) at every kind of place, w_v(t_high) = 1 and
     t_unit a unit: negative points at rational and split places, and points
-    whose powers pass p^N at rational@7 and inert@3."""
+    over 128 bits, whose powers pass p^N, at rational@7 and inert@3."""
     KQ, K5, Km1 = QuadraticField(), QuadraticField(5), QuadraticField(-1)
     phi = K5(Fraction(1, 2), Fraction(1, 2))
     split_1, split_2 = places_above(K5, 11)
     big = K5(2**200, 1)  # norm 2^400 - 5, a unit at 3
     return [
         (places_above(KQ, 3)[0], KQ(-3), KQ(-2)),
-        (places_above(KQ, 7)[0], KQ(7 * 3**60), KQ(-(3**60))),
+        (places_above(KQ, 7)[0], KQ(7 * 3**90), KQ(-(3**90))),
         (split_1, 11 * phi, K5(-2, -1)),
         (split_2, K5(-11, 11), phi),
         (places_above(K5, 3)[0], 3 * phi, phi),  # inert, sqrt basis, d = 1 mod 4
@@ -755,13 +755,13 @@ def test_stops_around_the_chunk_length(stop):
     # which vanishes at stop - 1, and a unit t it is the vanishing factor,
     # so the cuts fall just below, on and just above multiples of the
     # 32-term chunk.  The vanishing-factor sums run with p^N on both sides
-    # of 2^128, where rational and split places may switch from a per-term
-    # loop to the chunks, and at three times the narrower precision, where
-    # p^N is wider than a chunk's factor products and small points take
-    # the chunks too.  Each residue and tail bound is checked against
-    # the exact field sum of the terms, one term at a time, and an exact
-    # valuation of every factor (_check_both_phases); Euler's series at the
-    # same points is checked the same way
+    # of 2^128 and at three times the narrower precision, where t's residue
+    # at split places and the huge point at rational@7 are wider than 128
+    # bits, so they switch from a per-term loop to the chunks, while small
+    # points at rational places keep the loop.  Each residue and tail bound
+    # is checked against the exact field sum of the terms, one term at a
+    # time, and an exact valuation of every factor (_check_both_phases);
+    # Euler's series at the same points is checked the same way
     for v, t_high, t_unit in CHUNK_CASES:
         p = v.p
         cv = _check_both_phases(v, 1, p, t_high, stop)
