@@ -143,13 +143,13 @@ def _limsup_values(
     an l_max over LIMSUP_MAX_L raises PrecisionCapError."""
     if l_max > LIMSUP_MAX_L:
         raise PrecisionCapError(f"l_max {l_max} is over the work budget of {LIMSUP_MAX_L}")
-    out = []
+    out, log_c2 = [], math.log(c2)
     # for each excluded place: p, kappa_v, log p and v_p((ml)!) + v_p(l!),
     # which each step of l raises by v_p of m*l - m + 1, ..., m*l and of l
     excluded = [[v.p, v.kappa_v, math.log(v.p), 0] for v in V.excluded]
     for l in range(1, l_max + 1):
         a_l = (
-            l * math.log(c2)
+            l * log_c2
             + kappa * math.log(m * l + m)
             + math.lgamma(m * l + m + 1)
             - math.lgamma(m * l + 1)
@@ -190,19 +190,31 @@ def log_height_margin(l: int, m: int, kappa: int, c1: float, log_h: float) -> fl
     """
     if l < 2:
         raise ValueError("the margin function starts at l = 2")
-    ll = math.log(l)
-    lll = math.log(ll)
-    bracket = (
-        2 * (m + 1)
-        + 2 * m / l
-        + math.log(c1) / lll
-        + 1 / lll
-        + (kappa - 0.5) * ll / (l * lll)
-        + kappa * math.log(m) / (l * lll)
-        + kappa * math.log(m + 1) / (l * lll)
-        + kappa / (l * l * lll)
-    )
-    return log_h + bracket * l * lll - l * ll
+    return _margin_function(m, kappa, c1, log_h)(l)
+
+
+def _margin_function(m: int, kappa: int, c1: float, log_h: float):
+    """l -> N(l) for l >= 2, the logs free of l taken once; each operation keeps
+    the formula's order and grouping, so every value is the same double."""
+    log_c1, kappa_log_m, kappa_log_m1 = math.log(c1), kappa * math.log(m), kappa * math.log(m + 1)
+    two_m_plus_2, two_m, kappa_half = 2 * (m + 1), 2 * m, kappa - 0.5
+
+    def margin(l: int) -> float:
+        ll = math.log(l)
+        lll = math.log(ll)
+        l_lll = l * lll
+        bracket = (
+            two_m_plus_2 + two_m / l
+            + log_c1 / lll
+            + 1 / lll
+            + kappa_half * ll / l_lll
+            + kappa_log_m / l_lll
+            + kappa_log_m1 / l_lll
+            + kappa / (l * l * lll)
+        )
+        return log_h + bracket * l * lll - l * ll
+
+    return margin
 
 
 @dataclass(frozen=True)
@@ -260,9 +272,7 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         if log_h < s * math.exp(s):
             raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
 
-        def margin(l: int) -> float:
-            return log_height_margin(l, m, kappa, c1, log_h)
-
+        margin = _margin_function(m, kappa, c1, log_h)
         if margin(2) < 0:
             raise HeightTooSmallError("the margin function is already negative at l = 2")
         lo, hi = 2, 4

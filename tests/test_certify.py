@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,42 @@ def test_effective_bounds_bracket_many_heights():
         report = effective_bounds(1, 1, 2.0, log_h)
         assert report.n_ell >= 0 > report.n_ell_plus_1
         assert log_height_margin(report.ell, 1, 1, 2.0, log_h) == report.n_ell
+
+
+MARGIN_DOUBLES = json.loads((Path(__file__).parent / "data" / "margin_doubles.json").read_text())
+
+
+def test_margin_doubles_are_frozen():
+    # l up to a 130-digit int, m up to 400, log H up to 9e150: each N(l), and
+    # each ell with N(ell) and N(ell + 1), is the double computed before the
+    # margin function took its l-free logs once
+    for l, m, kappa, c1, log_h, expected in MARGIN_DOUBLES["margins"]:
+        assert float.hex(log_height_margin(l, m, kappa, c1, log_h)) == expected, (l, m, kappa, c1, log_h)
+    for m, kappa, c1, log_h, ell, n_ell, n_ell_plus_1 in MARGIN_DOUBLES["reports"]:
+        report = effective_bounds(m, kappa, c1, log_h)
+        assert (report.ell, float.hex(report.n_ell), float.hex(report.n_ell_plus_1)) == (
+            ell, n_ell, n_ell_plus_1,
+        ), (m, kappa, c1, log_h)
+
+
+def test_effective_bounds_at_a_128_digit_ell():
+    # N(ell) is exactly 0.0 and N(ell + 1) one ulp below it, so this ell
+    # rests on the search's ">= 0" and on every double of N near the root
+    report = effective_bounds(1, 1, 3.678, 4.1829e129)
+    assert report.ell == int(
+        "15616418738835486035223300194007260685391282442752601007672796416623468548941784626705554"
+        "244526778371827355330565657400648400896"
+    )
+    assert report.n_ell == 0.0
+    assert report.n_ell_plus_1 == -6.156563468186638e113
+
+
+@pytest.mark.parametrize("l", [1, 0, -3])
+@pytest.mark.parametrize("m, c1", [(1, 3.678), (1, 0.0), (1, -2.0), (0, 3.678), (0, -2.0)])
+def test_margin_refuses_l_below_2_before_any_log(l, m, c1):
+    # log(c1) and log(m) would raise "math domain error" first
+    with pytest.raises(ValueError, match="the margin function starts at l = 2"):
+        log_height_margin(l, m, 1, c1, 1e18)
 
 
 def test_effective_bounds_height_too_small():
