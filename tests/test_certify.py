@@ -218,8 +218,8 @@ def test_margin_doubles_are_frozen():
 
 
 def test_effective_bounds_at_a_128_digit_ell():
-    # N(ell) is exactly 0.0 and N(ell + 1) one ulp below it, so this ell
-    # rests on the search's ">= 0" and on every double of N near the root
+    # N(ell) is exactly 0.0 and N(ell + 1) minus one ulp of log H (2^378),
+    # so this ell rests on the search's ">= 0" and on every double of N
     report = effective_bounds(1, 1, 3.678, 4.1829e129)
     assert report.ell == int(
         "15616418738835486035223300194007260685391282442752601007672796416623468548941784626705554"
