@@ -70,7 +70,7 @@ def prime_range(lo: int, hi: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (inputs are norm-sized)."""
+    """Prime factorization of |n| by trial division, stopped at a prime cofactor."""
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
@@ -81,6 +81,9 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        # 1001 is the first f past 1000; is_prime is exact below 3.3e24
+        if f == 1001 and n < 3.3e24 and is_prime(n):
+            break
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -193,28 +193,40 @@ def log_height_margin(l: int, m: int, kappa: int, c1: float, log_h: float) -> fl
     return _margin_function(m, kappa, c1, log_h)(l)
 
 
-def _margin_function(m: int, kappa: int, c1: float, log_h: float):
-    """l -> N(l) for l >= 2, the logs free of l taken once; each operation keeps
-    the formula's order and grouping, so every value is the same double."""
-    log_c1, kappa_log_m, kappa_log_m1 = math.log(c1), kappa * math.log(m), kappa * math.log(m + 1)
-    two_m_plus_2, two_m, kappa_half = 2 * (m + 1), 2 * m, kappa - 0.5
+def _margin_key(l: int, m: int) -> tuple[float, float, float]:
+    """The only doubles N takes from l: math.log of an int and every
+    int-by-float product convert l to float(l) first."""
+    return float(l), 2 * m / l, float(l * l)
 
-    def margin(l: int) -> float:
+
+def _margin_of_key(m: int, kappa: int, c1: float, log_h: float):
+    """N(l) for l >= 2 from the doubles _margin_key(l, m), the logs free of l taken once;
+    each operation keeps the formula's order and grouping, so every value is the same double."""
+    log_c1, kappa_log_m, kappa_log_m1 = math.log(c1), kappa * math.log(m), kappa * math.log(m + 1)
+    two_m_plus_2, kappa_half = 2 * (m + 1), kappa - 0.5
+
+    def margin(l: float, two_m_over_l: float, l_sq: float) -> float:
         ll = math.log(l)
         lll = math.log(ll)
         l_lll = l * lll
         bracket = (
-            two_m_plus_2 + two_m / l
+            two_m_plus_2 + two_m_over_l
             + log_c1 / lll
             + 1 / lll
             + kappa_half * ll / l_lll
             + kappa_log_m / l_lll
             + kappa_log_m1 / l_lll
-            + kappa / (l * l * lll)
+            + kappa / (l_sq * lll)
         )
         return log_h + bracket * l * lll - l * ll
 
     return margin
+
+
+def _margin_function(m: int, kappa: int, c1: float, log_h: float):
+    """l -> N(l) for l >= 2."""
+    margin = _margin_of_key(m, kappa, c1, log_h)
+    return lambda l: margin(*_margin_key(l, m))
 
 
 @dataclass(frozen=True)
@@ -272,18 +284,26 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         if log_h < s * math.exp(s):
             raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
 
-        margin = _margin_function(m, kappa, c1, log_h)
-        if margin(2) < 0:
+        margin = _margin_of_key(m, kappa, c1, log_h)
+        if margin(*_margin_key(2, m)) < 0:
             raise HeightTooSmallError("the margin function is already negative at l = 2")
+        # for c1 >= 1 and 4 <= l <= 2^511 each term of the bracket is a double >= 0
+        # and nothing overflows, so N(l) >= 0 once l*log(l), the double N
+        # subtracts, is at most log H: the doubling needs no N there
         lo, hi = 2, 4
-        while margin(hi) >= 0:
+        while c1 >= 1 and hi.bit_length() <= 512 and hi * math.log(hi) <= log_h:
             lo, hi = hi, hi * 2
+        while margin(*_margin_key(hi, m)) >= 0:
+            lo, hi = hi, hi * 2
+        # N takes l only through its key: a mid with lo's or hi's key has that end's sign
+        lo_key, hi_key = _margin_key(lo, m), _margin_key(hi, m)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if margin(mid) >= 0:
-                lo = mid
+            key = _margin_key(mid, m)
+            if key == lo_key or (key != hi_key and margin(*key) >= 0):
+                lo, lo_key = mid, key
             else:
-                hi = mid
+                hi, hi_key = mid, key
         ell = lo
 
         loglog_h = math.log(log_h)
@@ -293,7 +313,7 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         if not (interval_lo < math.log(ell + 1) and m * (ell + 2) < interval_hi):
             raise BoundChainError("interval containment failed; bound chain inconsistent")
         return BoundReport(
-            m, kappa, c1, s, log_h, ell, margin(ell), margin(ell + 1),
+            m, kappa, c1, s, log_h, ell, margin(*_margin_key(ell, m)), margin(*_margin_key(ell + 1, m)),
             interval_lo, interval_hi, exponent,
         )
     except OverflowError:
@@ -313,8 +333,8 @@ def z_inverse(y: float) -> tuple[float, list[float]]:
     iterates descend from above, squeezing the fixed point.  Returns the
     limit and the iterate list.
     """
-    if y < math.e:
-        raise ValueError("y must be at least e")
+    if not math.e <= y < math.inf:
+        raise ValueError(f"y must be finite and at least e, got {y}")
     iterates = [y]
     z = y
     for _ in range(Z_INVERSE_MAX_ITER):
@@ -329,10 +349,17 @@ def z_inverse(y: float) -> tuple[float, list[float]]:
     return z, iterates
 
 
+#: the largest x mertens_sum sieves to: about 0.7 s (Python 3.11, x86-64)
+MERTENS_MAX_X = 10**7
+
+
 def mertens_sum(x: float) -> tuple[float, bool]:
-    """(sum_{p<=x} log(p)/(p-1), whether sum_{p<=x} log(p)/p < log(x))."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
+    """(sum_{p<=x} log(p)/(p-1), whether sum_{p<=x} log(p)/p < log(x));
+    an x over MERTENS_MAX_X raises PrecisionCapError before the sieve."""
+    if not 2 <= x < math.inf:
+        raise ValueError(f"x must be finite and at least 2, got {x}")
+    if x > MERTENS_MAX_X:
+        raise PrecisionCapError(f"x = {x} is over the sieve budget of {MERTENS_MAX_X}")
     total, check = 0.0, 0.0
     for p in primes_upto(int(math.floor(x))):
         total += math.log(p) / (p - 1)

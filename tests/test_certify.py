@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,10 @@ from eulerpade.places import Place, factorial_valuation, places_above, valuation
 import eulerpade.padics as padics
 from eulerpade.bounds import (
     LIMSUP_MAX_L,
+    MERTENS_MAX_X,
+    BoundReport,
     ValuationSetDescriptor,
+    _margin_key,
     constants_c1_c2,
     effective_bounds,
     limsup_sequence,
@@ -229,6 +233,126 @@ def test_effective_bounds_at_a_128_digit_ell():
     assert report.n_ell_plus_1 == -6.156563468186638e113
 
 
+def _reference_effective_bounds(m, kappa, c1, log_h):
+    """effective_bounds with the plain search: N evaluated at every l it
+    doubles to and every bisection midpoint."""
+    if m < 1 or kappa < 1:
+        raise ValueError("need m >= 1 and kappa >= 1")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
+    if not math.isfinite(log_h):
+        raise ValueError(f"log_h must be finite, got {log_h}")
+
+    def margin(l):
+        return log_height_margin(l, m, kappa, c1, log_h)
+
+    try:
+        s = max(math.e**kappa + 1, c1 + 1, (m + 3) ** 2 + 1)
+        if log_h < s * math.exp(s):
+            raise HeightTooSmallError(f"log H must be at least s*e^s = {s * math.exp(s):.6g}")
+        if margin(2) < 0:
+            raise HeightTooSmallError("the margin function is already negative at l = 2")
+        lo, hi = 2, 4
+        while margin(hi) >= 0:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if margin(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        ell = lo
+        loglog_h = math.log(log_h)
+        interval_lo = math.log(log_h / loglog_h)
+        interval_hi = 17 * m * log_h / loglog_h
+        exponent = (m + 1) + 114 * m * m * math.log(loglog_h) / loglog_h
+        if not (interval_lo < math.log(ell + 1) and m * (ell + 2) < interval_hi):
+            raise BoundChainError("interval containment failed; bound chain inconsistent")
+        return BoundReport(
+            m, kappa, c1, s, log_h, ell, margin(ell), margin(ell + 1), interval_lo, interval_hi, exponent,
+        )
+    except OverflowError:
+        raise PrecisionCapError(f"the bound chain at log H = {log_h:g} leaves the double range") from None
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_effective_bounds_search_matches_the_plain_search():
+    # the search skips N where the doubling is proven and where a midpoint
+    # shares an end's key; every report and every error must stay the same
+    rng = random.Random(2024)
+    # with these c1 < 1, N(hi) < 0 at a power of two hi with hi*log(hi) <= log H,
+    # so the doubling must evaluate N to stop where it does
+    small_c1 = [(1, 2, 1.0177868006914824e-12, 3.760121177449236e39),
+                (1, 1, 2.653796392325798e-11, 9.446031738119706e27),
+                (2, 3, 8.270497823159784e-13, 69486488497674.34)]
+    for m, kappa, c1, log_h in small_c1:
+        assert any(2**k * math.log(2**k) <= log_h and log_height_margin(2**k, m, kappa, c1, log_h) < 0
+                   for k in range(2, 512))
+    inputs = [(1, 1, 0.5, 1e40), (1, 1, 3.678, 4.1829e129), (1, 1, 2.0, 1e200), (1, 1, 1e-300, 1e10), *small_c1]
+    for _ in range(1500):
+        m = rng.randint(1, 23) if rng.random() < 0.9 else rng.randint(24, 400)
+        c1 = rng.choice([
+            1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+            10 ** rng.uniform(-30, 0), 10 ** rng.uniform(0, 2.85), 10 ** rng.uniform(0, 30),
+        ])
+        inputs.append((m, rng.randint(1, 6), c1, 10 ** rng.uniform(8, 200)))
+    seen = {"c1 < 1": 0, "c1 = 1": 0, "refused past 1e160": 0}
+    for args in inputs:
+        expected = _outcome(_reference_effective_bounds, *args)
+        assert _outcome(effective_bounds, *args) == expected, args
+        _, _, c1, log_h = args
+        if expected.startswith("BoundReport"):
+            seen["c1 < 1"] += c1 < 1
+            seen["c1 = 1"] += c1 == 1
+        elif log_h > 1e160 and expected.startswith("PrecisionCapError"):
+            seen["refused past 1e160"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_margin_is_nonnegative_where_the_doubling_skips_it():
+    # the doubling takes N(hi) >= 0 without evaluating it for c1 >= 1 and a
+    # power of two 4 <= hi <= 2^511 with hi*log(hi) <= log H, the tight
+    # case hi*log(hi) == log H included
+    heights = [1e9, 4.1829e129, 1e160, 1e307, sys.float_info.max]
+    heights += [2**k * math.log(2**k) for k in (2, 3, 10, 100, 300, 511)]
+    checked = 0
+    for m in (1, 2, 23, 400):
+        for kappa in (1, 2, 6):
+            for c1 in (1.0, math.nextafter(1.0, 2.0), 3.678, 700.0, 1e300):
+                for log_h in heights:
+                    for k in range(2, 512):
+                        hi = 2**k
+                        if hi * math.log(hi) <= log_h:
+                            assert log_height_margin(hi, m, kappa, c1, log_h) >= 0, (hi, m, kappa, c1, log_h)
+                            checked += 1
+    assert checked > 100000
+
+
+def test_equal_keys_give_equal_margins():
+    # N takes l only through (float(l), 2m/l, float(l*l)), so the search may
+    # give a midpoint the sign of an end with the same key
+    ell = int(
+        "15616418738835486035223300194007260685391282442752601007672796416623468548941784626705554"
+        "244526778371827355330565657400648400896"
+    )
+    equal = 0
+    for base in (2**53 + 1, 3**40, 10**20, 7**80, ell - 20, 2**511 - 30):
+        for m, kappa, c1, log_h in ((1, 1, 3.678, 4.1829e129), (3, 2, 0.5, 1e18), (23, 6, 700.0, 1e300)):
+            for d in range(1, 41):
+                if _margin_key(base, m) == _margin_key(base + d, m):
+                    equal += 1
+                    assert float.hex(log_height_margin(base, m, kappa, c1, log_h)) == float.hex(
+                        log_height_margin(base + d, m, kappa, c1, log_h)
+                    ), (base, d, m)
+    assert equal > 300
+
+
 @pytest.mark.parametrize("l", [1, 0, -3])
 @pytest.mark.parametrize("m, c1", [(1, 3.678), (1, 0.0), (1, -2.0), (0, 3.678), (0, -2.0)])
 def test_margin_refuses_l_below_2_before_any_log(l, m, c1):
@@ -281,6 +405,12 @@ def test_z_inverse_fixed_points():
         z_inverse(2.0)
 
 
+@pytest.mark.parametrize("y", [math.inf, math.nan])
+def test_z_inverse_refuses_a_non_finite_y(y):
+    with pytest.raises(ValueError, match="finite"):
+        z_inverse(y)
+
+
 def test_z_inverse_defining_equation_and_ordering():
     rng = random.Random(22)
     for _ in range(100):
@@ -317,6 +447,24 @@ def test_mertens_examples():
     total2, ok2 = mertens_sum(2)
     assert total2 == pytest.approx(math.log(2), rel=1e-12)
     assert ok2
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_mertens_refuses_a_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        mertens_sum(x)
+
+
+def test_mertens_budget_is_inclusive(monkeypatch):
+    # a stub sieve shows where the budget falls without building a large one
+    sieved = []
+    monkeypatch.setattr("eulerpade.bounds.primes_upto", lambda n: sieved.append(n) or [2, 3])
+    mertens_sum(MERTENS_MAX_X)
+    assert sieved == [MERTENS_MAX_X]
+    for x in (math.nextafter(MERTENS_MAX_X, math.inf), MERTENS_MAX_X + 1, 1e12):
+        with pytest.raises(PrecisionCapError, match="sieve budget"):
+            mertens_sum(x)
+    assert sieved == [MERTENS_MAX_X]
 
 
 def test_rosser_inequality_window():

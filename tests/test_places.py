@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from eulerpade.arith import padic_ord, primes_upto
+import eulerpade.arith as arith
+from eulerpade.arith import factorize, padic_ord, primes_upto
 from eulerpade.errors import InvalidPrimeError, ZeroElementError
 from eulerpade.numfield import QuadraticField
 from eulerpade.places import (
@@ -97,6 +98,48 @@ def test_normalized_abs_log_examples(K5, KQ):
 
     (inert2,) = places_above(K5, 2)
     assert normalized_abs_log(inert2, K5(2)) == 1
+
+
+def _trial_division(n):
+    """factorize's reference: every divisor up to the square root."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(7)
+    primes = primes_upto(30000)
+    cases = [1, 2, 1001**2, 1009**2, 1009 * 1013, 1002001 * 1009, 10007 * 10009, 2**40 - 1]
+    cases += [rng.randint(2, 10**9) for _ in range(100)]
+    cases += [rng.choice(primes) * rng.choice(primes) * rng.randint(1, 500) for _ in range(100)]
+    for n in cases:
+        assert list(factorize(n).items()) == list(_trial_division(n).items()), n
+        assert factorize(-n) == factorize(n)
+
+
+def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
+    # is_prime runs once, when the divisor passes 1000, and only below
+    # 3.3e24, where it is exact
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    p = 1000000000000037  # about 1.9 s of trial division without the stop
+    assert list(factorize(2**5 * 3 * 997 * p).items()) == [(2, 5), (3, 1), (997, 1), (p, 1)]
+    assert calls == [p]
+    calls.clear()
+    assert factorize(1009**7) == {1009: 7}
+    assert calls == [1009**7]
+    calls.clear()
+    assert factorize(1009**9) == {1009: 9}
+    assert factorize(2**20 * 3**5 * 997 * 991) == {2: 20, 3: 5, 991: 1, 997: 1}
+    assert calls == []
 
 
 def test_factorial_valuation():
