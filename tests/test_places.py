@@ -130,7 +130,7 @@ def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
     calls = []
     real = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    p = 1000000000000037  # about 1.9 s of trial division without the stop
+    p = 1000000000000037  # over a second of trial division without the stop
     assert list(factorize(2**5 * 3 * 997 * p).items()) == [(2, 5), (3, 1), (997, 1), (p, 1)]
     assert calls == [p]
     calls.clear()
