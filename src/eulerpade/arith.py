@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from .errors import NotSplitError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # 41 lifts the first miss from 3.2e23
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, far past desk scale)."""
+    """Deterministic Miller-Rabin (exact for n < 3317044064679887385961981, about 3.3e24)."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -79,10 +79,10 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
+    f, tested = 5, 0
     while f * f <= n:
-        # 1001 is the first f past 1000; is_prime is exact below 3.3e24
-        if f == 1001 and n < 3.3e24 and is_prime(n):
+        # past 1000, ask is_prime once about each cofactor below 3.3e24, where it is exact
+        if f > 1000 and n != tested and n < 3.3e24 and is_prime(tested := n):
             break
         for p in (f, f + 2):
             while n % p == 0:

@@ -125,8 +125,8 @@ def test_factorize_matches_trial_division():
 
 
 def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
-    # is_prime runs once, when the divisor passes 1000, and only below
-    # 3.3e24, where it is exact
+    # past a divisor of 1000, is_prime runs once per cofactor, and only
+    # below 3.3e24, where it is exact
     calls = []
     real = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
@@ -140,6 +140,38 @@ def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
     assert factorize(1009**9) == {1009: 9}
     assert factorize(2**20 * 3**5 * 997 * 991) == {2: 20, 3: 5, 991: 1, 997: 1}
     assert calls == []
+    # a factor just past 1000 shrinks the cofactor to a prime: asked again
+    assert factorize(1009 * p) == {1009: 1, p: 1}
+    assert calls == [1009 * p, p]
+
+
+class _Composite(Exception):
+    pass
+
+
+def test_factorize_is_not_stopped_by_a_strong_pseudoprime(monkeypatch):
+    # psi_12 is a strong pseudoprime to every prime base up to 37 and has
+    # no factor below 1001; base 41 shows it composite
+    psi_12 = 399165290221 * 798330580441
+    assert psi_12 == 318665857834031151167461
+    assert not arith.is_prime(psi_12)
+    # psi_13 is the first composite that is_prime calls prime
+    psi_13 = 1287836182261 * 2575672364521
+    assert psi_13 == 3317044064679887385961981 > 3.3e24
+    assert arith.is_prime(psi_13)
+    calls = []
+    real = arith.is_prime
+
+    def stub(n):
+        calls.append(n)
+        if real(n):
+            return True
+        raise _Composite  # trial division past here runs to 4e11
+
+    monkeypatch.setattr(arith, "is_prime", stub)
+    with pytest.raises(_Composite):
+        factorize(psi_12)
+    assert calls == [psi_12]
 
 
 def test_factorial_valuation():
