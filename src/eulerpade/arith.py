@@ -10,9 +10,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import NotSplitError
+from .errors import NotSplitError, PrecisionCapError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # 41 lifts the first miss from 3.2e23
+
+#: the largest integer a sieve or a trial divisor reaches (about 0.5 s and 0.9 s of work)
+PRIME_SCAN_MAX = 10**7
 
 
 def is_prime(n: int) -> bool:
@@ -41,7 +44,9 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
+    """All primes <= n by a byte sieve; an n over PRIME_SCAN_MAX is refused at once."""
+    if n > PRIME_SCAN_MAX:
+        raise PrecisionCapError(f"n = {n} is over the sieve budget of {PRIME_SCAN_MAX}")
     if n < 2:
         return []
     sieve = bytearray(b"\x01") * (n + 1)
@@ -70,7 +75,8 @@ def prime_range(lo: int, hi: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, stopped at a prime cofactor."""
+    """Prime factorization of |n| by trial division, stopped at a prime cofactor
+    and refused at one not shown prime once the divisor passes PRIME_SCAN_MAX."""
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
@@ -84,6 +90,11 @@ def factorize(n: int) -> dict[int, int]:
         # past 1000, ask is_prime once about each cofactor below 3.3e24, where it is exact
         if f > 1000 and n != tested and n < 3.3e24 and is_prime(tested := n):
             break
+        if f > PRIME_SCAN_MAX:
+            raise PrecisionCapError(
+                f"the cofactor {n} is not shown prime and has no factor up to "
+                f"the trial-division budget of {PRIME_SCAN_MAX}"
+            )
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -190,7 +190,7 @@ def log_height_margin(l: int, m: int, kappa: int, c1: float, log_h: float) -> fl
     """
     if l < 2:
         raise ValueError("the margin function starts at l = 2")
-    return _margin_function(m, kappa, c1, log_h)(l)
+    return _margin_of_key(m, kappa, c1, log_h)(*_margin_key(l, m))
 
 
 def _margin_key(l: int, m: int) -> tuple[float, float, float]:
@@ -221,12 +221,6 @@ def _margin_of_key(m: int, kappa: int, c1: float, log_h: float):
         return log_h + bracket * l * lll - l * ll
 
     return margin
-
-
-def _margin_function(m: int, kappa: int, c1: float, log_h: float):
-    """l -> N(l) for l >= 2."""
-    margin = _margin_of_key(m, kappa, c1, log_h)
-    return lambda l: margin(*_margin_key(l, m))
 
 
 @dataclass(frozen=True)
@@ -349,17 +343,11 @@ def z_inverse(y: float) -> tuple[float, list[float]]:
     return z, iterates
 
 
-#: the largest x mertens_sum sieves to: about 0.7 s (Python 3.11, x86-64)
-MERTENS_MAX_X = 10**7
-
-
 def mertens_sum(x: float) -> tuple[float, bool]:
     """(sum_{p<=x} log(p)/(p-1), whether sum_{p<=x} log(p)/p < log(x));
-    an x over MERTENS_MAX_X raises PrecisionCapError before the sieve."""
+    an x whose floor is over arith.PRIME_SCAN_MAX is refused by the sieve."""
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and at least 2, got {x}")
-    if x > MERTENS_MAX_X:
-        raise PrecisionCapError(f"x = {x} is over the sieve budget of {MERTENS_MAX_X}")
     total, check = 0.0, 0.0
     for p in primes_upto(int(math.floor(x))):
         total += math.log(p) / (p - 1)

@@ -30,8 +30,8 @@ residue, or a norm that vanishes mod 2^N at a 2-adic ramified place), so
 every reported tail bound is exact.  Between two such factors the bound
 grows by w_v(t) a term, so the cut there is one division.  When w_v(t) = 0
 and P(0), ..., P(p-1) are all units no term can ever clear the target, and
-the sum refuses at once; a sum without a term limit refuses, before the
-first term, a stop whose cost in word products is over TERM_BUDGET.
+the sum refuses at once; every sum, whoever asks for it, refuses before the
+first term a stop whose cost in word products is over TERM_BUDGET.
 Phase 2 sums the terms before the stop with no valuation work.  With P
 over Z one kernel sums chunks of 32 terms on exact factor products and
 powers of t (reduced mod p^N once they outgrow its words), combined by
@@ -65,7 +65,7 @@ from .places import RAMIFIED, RATIONAL, SPLIT_1, SPLIT_2, Place, _integer_image,
 #: hard ceiling on the requested residue precision N
 PRECISION_CAP = 4096
 
-#: the most work a sum without a term limit (euler_eval_certified) may do,
+#: the most work any factorial series sum may do, with a term limit or without,
 #: in word products: a term multiplies a residue mod p^N by t's multiplier,
 #: so it costs (64-bit words of p^N) * (words of t) + _TERM_OVERHEAD, where
 #: t's words are those of its signed residue at rational and split places
@@ -274,7 +274,7 @@ def euler_eval_certified(v: Place, alpha, n_target: int) -> CertifiedValue:
     cost is over TERM_BUDGET word products raises PrecisionCapError.
     """
     _check_precision(n_target)
-    return _sum_factorial_series(v, 1, 1, _algebraic_integer(alpha, v.d), n_target, None)
+    return _sum_factorial_series(v, 1, 1, _algebraic_integer(alpha, v.d), n_target, math.inf)
 
 
 def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedValue:
@@ -285,7 +285,8 @@ def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedVal
     tracked exactly and the cut is sound as soon as one term clears the
     target.  If no term does so by n_max the evaluation refuses to answer;
     it refuses after p terms when w_v(t) = 0 and P(0), ..., P(p-1) are all
-    units, since then every P(k) is a unit and no term ever can.
+    units, since then every P(k) is a unit and no term ever can.  As in
+    euler_eval_certified, a stop over TERM_BUDGET raises PrecisionCapError.
     """
     _check_precision(n_target)
     if not _as_elem(p1, v.d):
@@ -298,13 +299,13 @@ def genfact_eval(v: Place, p0, p1, t, n_target: int, n_max: int) -> CertifiedVal
 
 
 def _sum_factorial_series(
-    v: Place, p0, p1, t: FieldElement, n_target: int, n_max
+    v: Place, p0, p1, t: FieldElement, n_target: int, n_max: float
 ) -> CertifiedValue:
     """The certified sum of [P]_n t^n, P(x) = p0 + p1*x, for validated inputs.
 
     t is an algebraic integer, so w_v(t) >= 0; p0 and p1 are either both
-    ints or both algebraic-integer field elements.  n_max None sums
-    without a term limit, up to a cost of TERM_BUDGET word products.
+    ints or both algebraic-integer field elements.  n_max limits the terms
+    (math.inf: no limit); every sum is priced against TERM_BUDGET first.
     Valuations are counted in half-units (w2 is 2*w_v), which keeps them
     ints at ramified places too.  The stopping index comes first, from
     valuations alone, and then the terms before it are summed with no
@@ -324,18 +325,17 @@ def _sum_factorial_series(
         f = CompletionElement.from_field_element(v, n_target, p0)
         step = CompletionElement.from_field_element(v, n_target, p1)
     stop, bound2 = _stopping_index(v, p0, p1, f, step, w2_t, n_target, n_max)
-    if n_max is None:
-        if v.splitting in (RATIONAL, SPLIT_1, SPLIT_2):
-            size = min(t_c.a, mod - t_c.a)
-        else:
-            A, B, _ = t.integral_form()
-            size = max(A, -A, B, -B)
-        cost = stop * (_words(mod) * _words(size) + _TERM_OVERHEAD)
-        if cost > TERM_BUDGET:
-            raise PrecisionCapError(
-                f"the sum at {v} to precision {n_target} needs {stop} terms, "
-                f"{cost} word products, over the budget of {TERM_BUDGET}"
-            )
+    if v.splitting in (RATIONAL, SPLIT_1, SPLIT_2):
+        size = min(t_c.a, mod - t_c.a)
+    else:
+        A, B, _ = t.integral_form()
+        size = max(A, -A, B, -B)
+    cost = stop * (_words(mod) * _words(size) + _TERM_OVERHEAD)
+    if cost > TERM_BUDGET:
+        raise PrecisionCapError(
+            f"the sum at {v} to precision {n_target} needs {stop} terms, "
+            f"{cost} word products, over the budget of {TERM_BUDGET}"
+        )
     a, b = _partial_sum(v, p0, p1, f, step, t, t_c, stop, mod)
     return CertifiedValue(CompletionElement(v, n_target, a, b), Fraction(bound2, 2), stop)
 
@@ -344,7 +344,7 @@ def _words(x: int) -> int:
     return -(-x.bit_length() // 64)
 
 
-def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) -> tuple[int, int]:
+def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max: float) -> tuple[int, int]:
     """(stop, 2 * tail bound): the least n whose term bound w2([P]_n) + n*w2_t
     reaches 2*n_target, or one past the first vanishing factor, whose tail
     is exactly 0 (bound 2*n_target).
@@ -367,7 +367,7 @@ def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) 
                 if cut <= k:
                     n = cut
                     break
-        if n_max is not None and k >= n_max:
+        if k >= n_max:
             n = k + 1  # the stop lies past k, so past n_max
             break
         if f is None:
@@ -389,7 +389,7 @@ def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) 
         if w2_prod + n * w2_t < target:
             if w2_t:
                 n = -((w2_prod - target) // w2_t)
-            elif not w2_prod and (n_max is None or n_max >= p):
+            elif not w2_prod and n_max >= p:
                 # w_v(P(k + p) - P(k)) = w_v(p*p1) >= 1, so P(k) is a unit
                 # for every k: the term bound stays 0 for ever
                 raise NoConvergenceError(
@@ -398,14 +398,14 @@ def _stopping_index(v: Place, p0, p1, f, step, w2_t: int, n_target: int, n_max) 
                 )
             else:
                 n = math.inf  # the bound stops growing short of the target, below n_max
-    if n_max is not None and n > n_max:
+    if n > n_max:
         raise NoConvergenceError(
             f"no term reached valuation {n_target} within {n_max} terms at {v}"
         )
     return n, w2_prod + n * w2_t
 
 
-def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max):
+def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max: float):
     """The k with w_v(P(k)) > 0, in increasing order.
 
     P(k + p) - P(k) = p*p1, so whether w_v(P(k)) > 0 depends on k mod p
@@ -420,7 +420,7 @@ def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max):
         elif p0 % p == 0:
             yield from count()
         return
-    limit = min(p, p if n_max is None else n_max, -(-target // w2_t) if w2_t else p)
+    limit = min(p, n_max, -(-target // w2_t) if w2_t else p)
     fa, fb, sa, sb = f.a % p, f.b % p, step.a % p, step.b % p
     classes = []
     for k in range(limit):

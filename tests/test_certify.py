@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import eulerpade.arith as arith
 from eulerpade.arith import factorize, prime_range, primes_upto
 from eulerpade.errors import (
     AllLambdaZeroError,
@@ -27,7 +28,6 @@ from eulerpade.places import Place, factorial_valuation, places_above, valuation
 import eulerpade.padics as padics
 from eulerpade.bounds import (
     LIMSUP_MAX_L,
-    MERTENS_MAX_X,
     BoundReport,
     ValuationSetDescriptor,
     _margin_key,
@@ -455,16 +455,19 @@ def test_mertens_refuses_a_non_finite_x(x):
         mertens_sum(x)
 
 
-def test_mertens_budget_is_inclusive(monkeypatch):
-    # a stub sieve shows where the budget falls without building a large one
-    sieved = []
-    monkeypatch.setattr("eulerpade.bounds.primes_upto", lambda n: sieved.append(n) or [2, 3])
-    mertens_sum(MERTENS_MAX_X)
-    assert sieved == [MERTENS_MAX_X]
-    for x in (math.nextafter(MERTENS_MAX_X, math.inf), MERTENS_MAX_X + 1, 1e12):
-        with pytest.raises(PrecisionCapError, match="sieve budget"):
-            mertens_sum(x)
-    assert sieved == [MERTENS_MAX_X]
+def test_sieve_budget_is_inclusive(monkeypatch):
+    # the sieve checks the bound itself, so mertens_sum and prime_range (the
+    # certificate scan's primes) inherit it; a small bound shows where it falls
+    monkeypatch.setattr(arith, "PRIME_SCAN_MAX", 50)
+    monkeypatch.setattr(arith, "_sieve", (1, []))
+    assert primes_upto(50)[-1] == 47
+    assert prime_range(40, 50) == [41, 43, 47]
+    assert mertens_sum(50) == mertens_sum(math.nextafter(51, 0))
+    for refused in (lambda: primes_upto(51), lambda: prime_range(51, 51), lambda: mertens_sum(51),
+                    lambda: mertens_sum(1e300)):
+        with pytest.raises(PrecisionCapError, match="over the sieve budget of 50"):
+            refused()
+    assert arith._sieve[0] == 50
 
 
 def test_rosser_inequality_window():

@@ -160,6 +160,24 @@ def test_limsup_large_prime_norm_is_fast(capsys):
     assert len(json.loads(out)["log_values"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a sieve to 10^9, and trial division to 10^12 for the product of
+        # the primes 1000000000039 and 1000000000061, ran without limit
+        ["certify", "--lambdas", "1;1", "--alphas", "1", "--p", "1000000007"],
+        ["limsup", "--alphas", "1000000000100000000002379", "--lmax", "3"],
+        ["eval", "--field", "1000000000100000000002379", "--p", "3", "--alpha", "1"],
+    ],
+)
+def test_sieve_and_trial_division_are_refused_within_their_budget(argv):
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionCapError, match="budget of 10000000"):
+        args.func(args)
+    assert time.perf_counter() - start < 2
+
+
 def test_pade_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, ["pade", "--m", "1", "--l", "1", "--mu", "0", "--alphas", "1", "--json"]

@@ -614,15 +614,17 @@ def test_term_budget_refuses_before_summing(KQ, monkeypatch):
     assert time.perf_counter() - start < 0.1
     # the budget is inclusive, in word products: the anchor's 25654 terms of
     # a 27-word p^N with t = 3 pass at a budget of exactly their cost and are
-    # refused at one less; genfact_eval has its own n_max
+    # refused at one less; a term limit does not exempt genfact_eval
     (v,) = places_above(KQ, 101)
     cost = 25654 * (27 + padics._TERM_OVERHEAD)
     monkeypatch.setattr(padics, "TERM_BUDGET", cost)
     assert euler_eval_certified(v, 3, 256).terms_used == 25654
+    assert genfact_eval(v, 1, 1, 3, 256, 10**5).terms_used == 25654
     monkeypatch.setattr(padics, "TERM_BUDGET", cost - 1)
     with pytest.raises(PrecisionCapError, match=f"needs 25654 terms, {cost} word products"):
         euler_eval_certified(v, 3, 256)
-    assert genfact_eval(v, 1, 1, 3, 256, 10**5).terms_used == 25654
+    with pytest.raises(PrecisionCapError, match=f"needs 25654 terms, {cost} word products"):
+        genfact_eval(v, 1, 1, 3, 256, 10**5)
 
 
 def test_term_budget_weighs_terms_by_their_products(KQ, K5):

@@ -5,7 +5,7 @@ import pytest
 
 import eulerpade.arith as arith
 from eulerpade.arith import factorize, padic_ord, primes_upto
-from eulerpade.errors import InvalidPrimeError, ZeroElementError
+from eulerpade.errors import InvalidPrimeError, PrecisionCapError, ZeroElementError
 from eulerpade.numfield import QuadraticField
 from eulerpade.places import (
     factorial_valuation,
@@ -143,6 +143,18 @@ def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
     # a factor just past 1000 shrinks the cofactor to a prime: asked again
     assert factorize(1009 * p) == {1009: 1, p: 1}
     assert calls == [1009 * p, p]
+
+
+def test_factorize_refuses_past_the_divisor_budget(monkeypatch):
+    # trial division tries every divisor up to PRIME_SCAN_MAX and refuses a
+    # cofactor it has not shown prime past it
+    n = 2003 * 2011
+    monkeypatch.setattr(arith, "PRIME_SCAN_MAX", 2003)
+    assert factorize(6 * n) == {2: 1, 3: 1, 2003: 1, 2011: 1}
+    monkeypatch.setattr(arith, "PRIME_SCAN_MAX", 2002)
+    with pytest.raises(PrecisionCapError, match=f"cofactor {n} is not shown prime"):
+        factorize(6 * n)
+    assert factorize(7 * 1000000007) == {7: 1, 1000000007: 1}  # shown prime at divisor 1001
 
 
 class _Composite(Exception):
