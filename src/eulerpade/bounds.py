@@ -10,6 +10,7 @@ certificate: the values are estimates, not enclosures.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -223,6 +224,22 @@ def _margin_of_key(m: int, kappa: int, c1: float, log_h: float):
     return margin
 
 
+#: hi*log(hi), the double N(hi) subtracts, at the doubling's hi = 4, 8, ..., 2^511;
+#: strictly increasing, so the doubling's steps are a bisection of it
+_DOUBLING_TABLE = tuple((1 << k) * math.log(1 << k) for k in range(2, 512))
+
+
+def _doubling_bracket(c1: float, log_h: float) -> tuple[int, int]:
+    """(lo, hi) after the doubling steps from (2, 4) that need no N.
+
+    For c1 >= 1 and 4 <= l <= 2^511 each term of N's bracket is a double
+    >= 0 and nothing overflows, so N(hi) >= 0 once hi*log(hi) <= log H:
+    the doubling climbs past every table entry at most log H.
+    """
+    steps = bisect.bisect_right(_DOUBLING_TABLE, log_h) if c1 >= 1 else 0
+    return 2 << steps, 4 << steps
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the explicit lower-bound chain pins down for one height."""
@@ -259,7 +276,8 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
     """Evaluate the explicit bound chain at height log H.
 
     Computes s, scans for ell = max{l >= 2 : N(l) >= 0} (geometric bracket,
-    then binary search on the decreasing flank), and emits the prime
+    its first steps a lookup in _DOUBLING_TABLE, then binary search on the
+    decreasing flank), and emits the prime
     interval ]log(logH/loglogH), 17m logH/loglogH[ together with the
     exponent (m+1) + 114 m^2 logloglogH/loglogH.  The containment of
     [log(ell+1), m(ell+2)] in the interval is re-checked on every call; a
@@ -281,12 +299,7 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         margin = _margin_of_key(m, kappa, c1, log_h)
         if margin(*_margin_key(2, m)) < 0:
             raise HeightTooSmallError("the margin function is already negative at l = 2")
-        # for c1 >= 1 and 4 <= l <= 2^511 each term of the bracket is a double >= 0
-        # and nothing overflows, so N(l) >= 0 once l*log(l), the double N
-        # subtracts, is at most log H: the doubling needs no N there
-        lo, hi = 2, 4
-        while c1 >= 1 and hi.bit_length() <= 512 and hi * math.log(hi) <= log_h:
-            lo, hi = hi, hi * 2
+        lo, hi = _doubling_bracket(c1, log_h)
         while margin(*_margin_key(hi, m)) >= 0:
             lo, hi = hi, hi * 2
         # N takes l only through its key: a mid with lo's or hi's key has that end's sign

@@ -87,8 +87,12 @@ def _cmd_pade(args) -> int:
 def _check_printable(p: int, prec: int) -> None:
     """Refuse, before summing, a residue mod p^prec too long for str(int)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 means no limit
-    # p^prec >= 2^(prec*(bits-1)): past 16^limit > 10^limit, p^prec is not built
-    if limit and prec > 0 and (prec * (p.bit_length() - 1) >= 4 * limit or p**prec >= 10**limit):
+    bits = p.bit_length()
+    # 2^(prec*(bits-1)) <= p^prec < 2^(prec*bits): below 8^limit < 10^limit or
+    # past 16^limit > 10^limit, neither power is built
+    if limit and prec > 0 and prec * bits > 3 * limit and (
+        prec * (bits - 1) >= 4 * limit or p**prec >= 10**limit
+    ):
         raise PrecisionCapError(f"a residue mod {p}^{prec} can exceed {limit} decimal digits")
 
 
@@ -231,6 +235,7 @@ def _add_certificate(p, linear_form):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eulerpade", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # each subcommand's name to its parser, filled below
 
     p = sub.add_parser("pade", help="construct a Pade system and check its remainder order")
     p.add_argument("--m", type=int, required=True)
@@ -304,7 +309,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no argv, -h, an unknown name or a leading --
+        args = parser.parse_args(argv)
+    else:
+        # parser would pass every string after the name unread to sub; strings
+        # sub leaves over are the top level's "unrecognized arguments"
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (EulerPadeError, ValueError, ZeroDivisionError) as exc:

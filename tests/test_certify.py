@@ -30,6 +30,8 @@ from eulerpade.bounds import (
     LIMSUP_MAX_L,
     BoundReport,
     ValuationSetDescriptor,
+    _DOUBLING_TABLE,
+    _doubling_bracket,
     _margin_key,
     constants_c1_c2,
     effective_bounds,
@@ -332,6 +334,26 @@ def test_margin_is_nonnegative_where_the_doubling_skips_it():
                             assert log_height_margin(hi, m, kappa, c1, log_h) >= 0, (hi, m, kappa, c1, log_h)
                             checked += 1
     assert checked > 100000
+
+
+def test_doubling_table_gives_the_doubling_loops_bracket():
+    # the doubling's steps are a bisection of hi*log(hi) for hi = 4 .. 2^511,
+    # exact only while those doubles strictly increase
+    assert len(_DOUBLING_TABLE) == 510
+    assert all(a < b for a, b in zip(_DOUBLING_TABLE, _DOUBLING_TABLE[1:]))
+
+    def loop(c1, log_h):
+        lo, hi = 2, 4
+        while c1 >= 1 and hi.bit_length() <= 512 and hi * math.log(hi) <= log_h:
+            lo, hi = hi, hi * 2
+        return lo, hi
+
+    heights = [-1.0, 0.0, sys.float_info.max]
+    for entry in _DOUBLING_TABLE:
+        heights += [math.nextafter(entry, -math.inf), entry, math.nextafter(entry, math.inf)]
+    for c1 in (0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 3.678):
+        for log_h in heights:
+            assert _doubling_bracket(c1, log_h) == loop(c1, log_h), (c1, log_h)
 
 
 def test_equal_keys_give_equal_margins():

@@ -14,7 +14,7 @@ from eulerpade import cli
 from eulerpade.bounds import ValuationSetDescriptor, limsup_sequence
 from eulerpade.certify import certificate_from_json, verify_certificate
 from eulerpade.cli import build_parser, main
-from eulerpade.errors import CutoffTooSmallError, InvalidPrimeError, PrecisionCapError
+from eulerpade.errors import CutoffTooSmallError, EulerPadeError, InvalidPrimeError, PrecisionCapError
 from eulerpade.numfield import QuadraticField
 from eulerpade.places import places_above
 
@@ -258,6 +258,26 @@ def test_eval_prints_longest_residue(capsys):
     assert 0 < value["residue"] < 101**2100
 
 
+def test_printable_check_matches_the_exact_rule(monkeypatch):
+    # where prec*bits <= 3*limit the check builds neither power; every
+    # answer must be that of the exact rule p^prec >= 10^limit
+    edges = set()
+    for limit in (0, 1, 2, 5, 12, 31):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        for p in (2, 3, 5, 7, 11, 13, 31, 101, 1009, 2**31 - 1):
+            bits = p.bit_length()
+            for prec in range(0, 4 * limit + 3):
+                try:
+                    cli._check_printable(p, prec)
+                    refused = False
+                except PrecisionCapError:
+                    refused = True
+                assert refused == (limit > 0 and p**prec >= 10**limit), (limit, p, prec)
+                if limit:
+                    edges.add(prec * bits - 3 * limit)
+    assert {0, 1} <= edges
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -323,6 +343,68 @@ def test_main_builds_its_parser_once(monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(calls) == 1
+
+
+RESIDUE = ["residue", "--n", "4", "--r", "2", "--m", "1"]
+
+#: name: (argv, exit code); "RECORD" stands for a file holding a fib record,
+#: and None for an exit code that varies with the Python version's argparse
+DISPATCH_LINES = {
+    "pade": (["pade", "--m", "1", "--l", "1", "--mu", "0", "--alphas", "1", "--json"], 0),
+    "eval": (["eval", "--p", "11", "--alpha", "1/2,1/2", "--field", "5", "--prec", "3"], 0),
+    "certify": (["certify", "--lambdas", "1;1", "--alphas", "1", "--pmin", "3", "--json"], 0),
+    "bounds": (["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "4.1095e8"], 0),
+    "limsup": (["limsup", "--alphas", "1;2", "--lmax", "5", "--exclude-p", "2", "--json"], 0),
+    "fib": (["fib", "--a", "2", "--b", "3", "--pmax", "20"], 0),
+    "evenfact": (["evenfact", "--a", "1", "--b", "2", "--json"], 0),
+    "residue": (RESIDUE, 0),
+    "verify": (["verify", "RECORD"], 0),
+    "no argv": ([], 1),
+    "-h": (["-h"], 0),
+    "pade -h": (["pade", "-h"], 0),
+    "bogus": (["bogus"], 1),
+    "leading --": (["--", *RESIDUE], None),
+    "missing required": (["residue", "--n", "4", "--r", "2"], 1),
+    "unrecognized": (["fib", "--a", "1", "--b", "1", "--exclude-p", "2"], 1),
+    "stray positional": ([*RESIDUE, "stray"], 1),
+    "abbreviated": (["bounds", "--m", "1", "--kappa", "1", "--c1", "2", "--logH", "4.1095e8", "--js"], 0),
+    "repeated": (["residue", "--n", "5", "--n", "4", "--r", "2", "--m", "1"], 0),
+    "-- after the name": ([*RESIDUE, "--", "x"], 1),
+    "input error": (["eval", "--p", "4", "--alpha", "1"], 1),
+}
+
+
+def _main_through_the_top_level_parser(argv):
+    """main with the top-level parser reading every string, as it did
+    before main handed the strings after a subcommand's name to its parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (EulerPadeError, ValueError, ZeroDivisionError) as exc:
+        print(f"eulerpade: error: {exc}", file=sys.stderr)
+        return 1
+
+
+@pytest.mark.parametrize("name", DISPATCH_LINES)
+def test_dispatch_matches_the_top_level_parser(capsys, tmp_path, name):
+    argv, expected = DISPATCH_LINES[name]
+    if "RECORD" in argv:
+        record = tmp_path / "record.json"
+        record.write_text(run_cli(capsys, ["fib", "--a", "1", "--b", "1", "--json"])[1])
+        argv = [str(record) if arg == "RECORD" else arg for arg in argv]
+    outcomes = []
+    for run in (main, _main_through_the_top_level_parser):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, _, err = outcomes[0]
+    assert expected in (None, code), err
+    unrecognized = {"unrecognized": "--exclude-p 2", "stray positional": "stray"}
+    if name in unrecognized:
+        assert err.endswith(f"eulerpade: error: unrecognized arguments: {unrecognized[name]}\n")
 
 
 def test_json_flag_does_not_carry_over(capsys):
