@@ -141,7 +141,10 @@ def _limsup_values(
     kappa: int, m: int, c2: float, V: ValuationSetDescriptor, l_max: int
 ) -> list[float]:
     """limsup_sequence for m points whose constant c2 is already known;
-    an l_max over LIMSUP_MAX_L raises PrecisionCapError."""
+    an l_max below 1 raises ValueError, one over LIMSUP_MAX_L
+    PrecisionCapError."""
+    if l_max < 1:
+        raise ValueError(f"l_max must be at least 1, got {l_max}")
     if l_max > LIMSUP_MAX_L:
         raise PrecisionCapError(f"l_max {l_max} is over the work budget of {LIMSUP_MAX_L}")
     out, log_c2 = [], math.log(c2)

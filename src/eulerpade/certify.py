@@ -196,7 +196,10 @@ def certify_nonvanishing(
     order, precision doubling 4, 8, ..., n_max.  The first residue whose
     valuation drops strictly below both the precision and the tail bound is
     re-verified at four more digits and returned; running out of places
-    yields an "undetermined" certificate, never a claim of vanishing.
+    yields an "undetermined" certificate, never a claim of vanishing.  Each
+    rung decides on ints, in half-units: twice the valuation against twice
+    the precision and, cross-multiplied, twice the tail bound.  The
+    record's Fractions are built only for a claim.
     """
     lambdas, alphas = _validated_form(lambda_vec, alpha_vec, K.d)
     if n_max < 4:
@@ -206,15 +209,15 @@ def certify_nonvanishing(
             n = 4
             while n <= n_max:
                 value, tail = linear_form_value(lambdas, alphas, v, n)
-                w = value.valuation_lower()
-                if w is not None and w < tail and w < n:
+                w2 = value.half_valuation()  # w_v of the residue in half-units
+                if w2 is not None and w2 < 2 * n and w2 * tail.denominator < 2 * tail.numerator:
                     if not _claimable_precision(n):
                         raise PrecisionCapError(
                             f"a claim at precision {n} cannot be re-verified "
                             f"within the cap {PRECISION_CAP}"
                         )
                     cert = Certificate(
-                        K.d, lambdas, alphas, v, n, w, tail, "nonzero"
+                        K.d, lambdas, alphas, v, n, Fraction(w2, 2), tail, "nonzero"
                     )
                     if not verify_certificate(cert):
                         _recheck(cert)  # a check over the term budget raises PrecisionCapError
@@ -230,7 +233,9 @@ def verify_certificate(cert: Certificate) -> bool:
     The place must be one that places_above lists for the field, the
     precision one that certificate_from_json accepts, and the valuation of
     the residue must reproduce exactly, below the record's precision and its
-    tail bound, which the recomputed tail bound must reach.  Undetermined
+    tail bound, which the recomputed tail bound must reach.  The recomputed
+    valuation, in half-units, meets the record's valuations by
+    cross-multiplied numerators and denominators.  Undetermined
     certificates claim nothing and verify vacuously; any other status does
     not verify, and neither does a nonzero certificate with a claim field
     missing or mistyped (a bool is not a valuation), a field_d that is not
@@ -269,12 +274,15 @@ def _recheck(cert: Certificate) -> bool:
         return False
     precision = cert.precision + VERIFY_EXTRA_DIGITS
     value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
-    w = value.valuation_lower()
+    w2 = value.half_valuation()
+    # w2 / 2 against the record's int or Fraction valuations, cross-multiplied
+    pv, tb = cert.partial_valuation, cert.tail_valuation_bound
     return (
-        w is not None
-        and w == cert.partial_valuation
-        and w < cert.precision
-        and w < cert.tail_valuation_bound <= tail
+        w2 is not None
+        and w2 * pv.denominator == 2 * pv.numerator
+        and w2 < 2 * cert.precision
+        and w2 * tb.denominator < 2 * tb.numerator
+        and tb.numerator * tail.denominator <= tail.numerator * tb.denominator
     )
 
 

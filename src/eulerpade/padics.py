@@ -214,10 +214,14 @@ class CompletionElement:
         mod = self.place.p**m
         return CompletionElement(self.place, m, self.a % mod, self.b % mod)
 
+    def half_valuation(self) -> int | None:
+        """2 * valuation_lower(), an int: w_v in half-units."""
+        return _residue_w2(self.place, self.a, self.b, self.modulus)
+
     def valuation_lower(self) -> Fraction | None:
         """The exact w_v of any element with this residue, when the residue
         pins it down; None when it leaves it undetermined (see _residue_w2)."""
-        w2 = _residue_w2(self.place, self.a, self.b, self.modulus)
+        w2 = self.half_valuation()
         return None if w2 is None else Fraction(w2, 2)
 
     def sqrt_coordinates(self) -> tuple[Fraction, Fraction]:

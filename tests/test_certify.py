@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import eulerpade.arith as arith
+import eulerpade.certify as certify
 from eulerpade.arith import factorize, prime_range, primes_upto
 from eulerpade.errors import (
     AllLambdaZeroError,
@@ -175,6 +178,12 @@ def test_limsup_past_the_work_budget_is_refused(KQ, monkeypatch):
     monkeypatch.setattr(math, "lgamma", None)
     with pytest.raises(PrecisionCapError, match="work budget"):
         limsup_sequence(KQ, [1], ValuationSetDescriptor.cofinite(places_above(KQ, 2)), LIMSUP_MAX_L + 1)
+
+
+@pytest.mark.parametrize("l_max", [0, -2])
+def test_limsup_without_a_term_is_refused(KQ, l_max):
+    with pytest.raises(ValueError, match=f"l_max must be at least 1, got {l_max}"):
+        limsup_sequence(KQ, [1], V_ALL, l_max)
 
 
 def test_limsup_rejects_residue_classes(KQ):
@@ -639,6 +648,81 @@ def test_certify_undetermined_paths(KQ):
     cert3 = certify_nonvanishing(KQ, [64, -64], [1], 2, 2, n_max=64)
     assert cert3.status == "nonzero"
     assert cert3.partial_valuation == 6
+
+
+def _residue_with(w2):
+    """A stand-in for linear_form_value's residue whose valuation is w2 / 2."""
+    return SimpleNamespace(half_valuation=lambda: w2)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_scan_rung_rule_matches_the_fraction_rule(KQ, monkeypatch, n):
+    # each rung decides on half-unit ints; the reference is w < tail and
+    # w < n on Fractions
+    monkeypatch.setattr(certify, "verify_certificate", lambda cert: True)
+    tails = [Fraction(k, 2) for k in range(-4, 2 * n + 8)]
+    assert {t.denominator for t in tails} == {1, 2}
+    for w2 in range(-3, 13):
+        for tail in tails:
+            # the rungs below n leave the valuation open
+            monkeypatch.setattr(
+                certify, "linear_form_value",
+                lambda lambdas, alphas, v, m: (_residue_with(w2 if m == n else None), tail),
+            )
+            cert = certify_nonvanishing(KQ, [1, 1], [1], 2, 2, n_max=n)
+            w = Fraction(w2, 2)
+            assert (cert.status == "nonzero") == (w < tail and w < n), (w2, tail)
+            if cert.status == "nonzero":
+                assert (cert.precision, cert.partial_valuation, cert.tail_valuation_bound) == (n, w, tail)
+                assert type(cert.partial_valuation) is Fraction
+
+
+_RECORD_VALUATIONS = [
+    0, 1, 2, -1, True, False,
+    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(7, 2),
+]
+
+
+def test_recheck_matches_the_fraction_rule(monkeypatch):
+    # the recomputed half-units meet the record's int or Fraction valuations
+    # cross-multiplied; the reference compares Fractions, after the type
+    # check that refuses a bool
+    record = certificate_from_json(_fib_record())
+    assert record.precision == 4
+    for precision in (1, 4):
+        for pv in _RECORD_VALUATIONS:
+            for tb in _RECORD_VALUATIONS + [5, Fraction(9, 2)]:
+                cert = dataclasses.replace(record, precision=precision, partial_valuation=pv, tail_valuation_bound=tb)
+                typed = type(pv) in (int, Fraction) and type(tb) in (int, Fraction)
+                for w2 in [None, *range(-3, 13)]:
+                    for tail in (Fraction(1, 2), Fraction(2), Fraction(9, 2), Fraction(5)):
+                        monkeypatch.setattr(
+                            certify, "linear_form_value", lambda *args: (_residue_with(w2), tail)
+                        )
+                        w = None if w2 is None else Fraction(w2, 2)
+                        want = typed and w is not None and w == pv and w < precision and w < tb <= tail
+                        assert verify_certificate(cert) is want, (precision, pv, tb, w2, tail)
+
+
+def test_fibonacci_box_scan_path_and_records_are_pinned(monkeypatch):
+    # the 1275 forms |a|, b <= 25 from p = 2: a change to any rung's
+    # decision moves the number of rungs tried or a record
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return linear_form_value(*args)
+
+    monkeypatch.setattr(certify, "linear_form_value", counted)
+    digest = hashlib.md5()
+    for a in range(-25, 26):
+        for b in range(1, 26):
+            K, lambdas, alphas = fibonacci_linear_form(a, b)
+            record = certify_nonvanishing(K, lambdas, alphas, 2, 50).to_json()
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert calls == 2636
+    assert digest.hexdigest() == "f238d772b60fc118cef0fbb5eaf85da2"
 
 
 def test_certify_validation(KQ):

@@ -77,6 +77,14 @@ def test_bound_chain_outside_the_double_range_is_an_input_error(capsys, argv):
     assert err.startswith("eulerpade: error: ")
 
 
+@pytest.mark.parametrize("lmax", ["0", "-2"])
+def test_limsup_without_a_term_is_refused(capsys, lmax):
+    # these once exited 0 with an empty log_values and "no decreasing tail yet"
+    code, out, err = run_cli(capsys, ["limsup", "--alphas", "1", "--lmax", lmax, "--json"])
+    assert code == 1 and out == ""
+    assert err == f"eulerpade: error: l_max must be at least 1, got {lmax}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -461,6 +469,8 @@ CERTIFICATE_LINES = [
     ["certify", "--lambdas", "0;-1", "--alphas", "1", "--p", "2"],
     ["certify", "--lambdas", "1;1", "--alphas", "1", "--pmin", "3"],
     ["certify", "--lambdas", "1;1;-1", "--alphas", "1/2,1/2;1/2,-1/2", "--field", "5"],
+    # partial valuation 1/2 at ramified@5
+    ["certify", "--lambdas", "0,1;5", "--alphas", "0,1", "--field", "5", "--p", "5"],
     ["certify", "--lambdas", "1;1", "--alphas", "1", "--pmin", "5", "--pmax", "3"],
     ["fib", "--a", "1", "--b", "1"],
     ["fib", "--a", "-3", "--b", "4", "--pmax", "20"],
