@@ -14,7 +14,7 @@ reported as "undetermined", never as vanishing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .arith import prime_range, squarefree_part
@@ -122,16 +122,27 @@ def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...],
     return lambdas, alphas
 
 
-def certificate_from_json(obj: dict) -> Certificate:
-    """Read back a to_json() record, refusing an unknown status, a field_d
-    that is neither null nor an int, lambdas or alphas that are not lists of
+def certificate_from_json(obj: object) -> Certificate:
+    """Read back a to_json() record, refusing with ValueError a value that
+    is not a dict, a missing key, an unknown status, a field_d that is
+    neither null nor an int, lambdas or alphas that are not lists of
     strings, that do not parse or that break the scan's input rules, a place
-    whose p is not an int, a place that places_above(K, p) does not list or
-    whose e and f are not that place's, a prime other than the place's p
-    (null without a place), a precision that is not an int, a valuation that
-    is not null or a rational string, and a nonzero
-    claim with a gap or with a precision outside
-    1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
+    that is not null or a dict with p, splitting, e and f, a place whose p
+    is not an int, a place that places_above(K, p) does not list or whose e
+    and f are not that place's, a prime other than the place's p (null
+    without a place), a precision that is not an int, a valuation that is
+    not null or a rational string, and a nonzero claim with a gap or with a
+    precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a certificate record is a JSON object, not {type(obj).__name__}")
+    for key in (*(f.name for f in fields(Certificate)), "prime"):  # to_json()'s keys
+        if key not in obj:
+            raise ValueError(f"the certificate record has no key {key!r}")
+    place_obj = obj["place"]
+    if place_obj is not None and not (
+        isinstance(place_obj, dict) and place_obj.keys() >= {"p", "splitting", "e", "f"}
+    ):
+        raise ValueError(f"the place must be null or an object with p, splitting, e and f, got {place_obj!r}")
     status = obj["status"]
     if status not in ("nonzero", "undetermined"):
         raise ValueError(f"unknown certificate status {status!r}")
@@ -154,15 +165,15 @@ def certificate_from_json(obj: dict) -> Certificate:
     lambdas = _parsed_list(obj, "lambdas", K)
     lambdas, alphas = _validated_form(lambdas, alphas, K.d)
     place, p = None, None
-    if obj["place"] is not None:
-        p, splitting = obj["place"]["p"], obj["place"]["splitting"]
+    if place_obj is not None:
+        p, splitting = place_obj["p"], place_obj["splitting"]
         if type(p) is not int:
             raise ValueError(f"the place's p must be an int, got {p!r}")
         place = next((v for v in places_above(K, p) if v.splitting == splitting), None)
         if place is None:
             raise ValueError(f"{K} has no place {splitting}@{p}")
         for key in ("e", "f"):
-            got, want = obj["place"][key], getattr(place, key)
+            got, want = place_obj[key], getattr(place, key)
             if type(got) is not int or got != want:
                 raise ValueError(f"the place's {key} must be {want}, got {got!r}")
     prime = obj["prime"]
@@ -220,7 +231,6 @@ def certify_nonvanishing(
                         K.d, lambdas, alphas, v, n, Fraction(w2, 2), tail, "nonzero"
                     )
                     if not verify_certificate(cert):
-                        _recheck(cert)  # a check over the term budget raises PrecisionCapError
                         raise RuntimeError("re-verification failed; evaluator inconsistent")
                     return cert
                 n *= 2
@@ -239,18 +249,11 @@ def verify_certificate(cert: Certificate) -> bool:
     certificates claim nothing and verify vacuously; any other status does
     not verify, and neither does a nonzero certificate with a claim field
     missing or mistyped (a bool is not a valuation), a field_d that is not
-    null or an int or names no field, lambdas and alphas that are not
-    tuples of m + 1 and m algebraic integers, or a claim whose
-    re-evaluation is over the term budget of padics.
+    null or an int or names no field, or lambdas and alphas that are not
+    tuples of m + 1 and m algebraic integers.  A claim whose re-evaluation
+    is over the term budget of padics is not decided: the evaluator's
+    PrecisionCapError, naming the sum, comes out unchanged.
     """
-    try:
-        return _recheck(cert)
-    except PrecisionCapError:
-        return False
-
-
-def _recheck(cert: Certificate) -> bool:
-    """verify_certificate, but a check over the term budget raises PrecisionCapError."""
     if cert.status != "nonzero":
         return cert.status == "undetermined"
     v = cert.place

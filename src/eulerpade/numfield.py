@@ -309,8 +309,10 @@ def _algebraic_integer(value, d) -> FieldElement:
 
 
 def _validated_alphas(alpha_vec, d) -> tuple[FieldElement, ...]:
-    """Evaluation points that are nonzero, pairwise distinct algebraic integers."""
+    """At least one evaluation point; nonzero, pairwise distinct algebraic integers."""
     alphas = _validated_points(alpha_vec, d)
+    if not alphas:
+        raise ValueError("the list of evaluation points is empty")
     for a in alphas:
         _algebraic_integer(a, d)
     return alphas

@@ -86,6 +86,17 @@ def test_c2_nonarch_contribution(KQ):
     assert c2_excl == pytest.approx(c1, rel=1e-12)
 
 
+def test_an_empty_point_list_is_refused_by_name(KQ):
+    # these once ended in an IndexError from the Archimedean table
+    with pytest.raises(ValueError, match="^the list of evaluation points is empty$"):
+        constants_c1_c2(KQ, [], V_ALL)
+    with pytest.raises(ValueError, match="^the list of evaluation points is empty$"):
+        limsup_sequence(KQ, [], V_ALL, 5)
+    # the constant form 1 with no points was once certified at rational@2
+    with pytest.raises(ValueError, match="^alphas: the list of evaluation points is empty$"):
+        certify_nonvanishing(KQ, [1], [], 2, 50)
+
+
 def _c2_over_union_of_norms(K, alphas, V):
     """c2 with the non-Archimedean product taken over every prime that
     divides some norm(alpha_j)."""
@@ -1071,14 +1082,26 @@ def test_certificate_precision_limits():
         certificate_from_json(record)
 
 
-def test_a_claim_over_the_term_budget_does_not_verify(KQ, monkeypatch, over_budget_record):
+def test_a_claim_over_the_term_budget_raises_by_name(KQ, monkeypatch, over_budget_record):
     padics._series_value.cache_clear()
-    assert verify_certificate(certificate_from_json(over_budget_record)) is False
+    # the check is not decided: the evaluator's refusal comes out unchanged
+    with pytest.raises(
+        PrecisionCapError, match="188470 terms, 70864720 word products, over the budget of 64000000"
+    ):
+        verify_certificate(certificate_from_json(over_budget_record))
     # the scan still refuses a claim it cannot re-verify, naming the budget:
     # the claim at rational@2, precision 4, sums 6 one-word terms (126 word
     # products), and its re-verification at precision 8 sums 10 (210)
     monkeypatch.setattr(padics, "TERM_BUDGET", 126)
     with pytest.raises(PrecisionCapError, match="10 terms, 210 word products, over the budget of 126"):
+        certify_nonvanishing(KQ, [1, 1], [1], 2, 50)
+
+
+def test_a_claim_the_check_refuses_is_not_issued(KQ, monkeypatch):
+    # the scan's one re-check: a claim verify_certificate rejects means the
+    # evaluator disagrees with itself
+    monkeypatch.setattr(certify, "verify_certificate", lambda cert: False)
+    with pytest.raises(RuntimeError, match="^re-verification failed; evaluator inconsistent$"):
         certify_nonvanishing(KQ, [1, 1], [1], 2, 50)
 
 

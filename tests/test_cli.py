@@ -88,6 +88,23 @@ def test_limsup_without_a_term_is_refused(capsys, lmax):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["limsup", "--alphas", ""],
+        ["limsup", "--alphas", ";", "--json"],
+        ["certify", "--lambdas", "1", "--alphas", ""],
+    ],
+)
+def test_an_empty_point_list_is_refused_by_name(capsys, argv):
+    # limsup once ended in an IndexError traceback; certify printed a claim
+    # for the constant form 1
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    prefix = "alphas: " if argv[0] == "certify" else ""
+    assert err == f"eulerpade: error: {prefix}the list of evaluation points is empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["pade", "--m", "3", "--l", "300", "--mu", "0", "--alphas", "1;2;3"],
         ["pade", "--m", "1", "--l", "3000", "--mu", "0", "--alphas", "7"],
         ["pade", "--m", "4", "--l", "500", "--mu", "0", "--alphas", "1;2;3;4"],
@@ -551,6 +568,13 @@ def test_verify_refuses_a_forged_record(capsys, monkeypatch, argv, forge):
     code, out, err = verify_text(capsys, monkeypatch, json.dumps(record))
     assert (code, out) == (1, "")
     assert err.startswith("eulerpade: error: ") and err.count("\n") == 1
+    # the library agrees: the reader refuses by name, or the check says no
+    try:
+        cert = certificate_from_json(record)
+    except ValueError as exc:
+        assert err == f"eulerpade: error: {exc}\n"
+    else:
+        assert verify_certificate(cert) is False
 
 
 def test_verify_refuses_a_claim_over_the_term_budget(capsys, monkeypatch, over_budget_record):
@@ -562,11 +586,31 @@ def test_verify_refuses_a_claim_over_the_term_budget(capsys, monkeypatch, over_b
     )
 
 
-@pytest.mark.parametrize("text", ["", "{", "not json", "[]", "3", '"record"', "null"])
+NOT_RECORDS = [
+    "", "{", "not json", "[]", "3", '"record"', "null",
+    "true", "1.5", "[{}]", "{}", '{"status": "nonzero"}', '{"status": "undetermined"}',
+]
+
+
+@pytest.mark.parametrize("text", NOT_RECORDS)
 def test_verify_refuses_what_is_not_a_record(capsys, monkeypatch, text):
     code, out, err = verify_text(capsys, monkeypatch, text)
     assert (code, out) == (1, "")
     assert err.startswith("eulerpade: error: ")
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return
+    with pytest.raises(ValueError) as refusal:
+        certificate_from_json(value)
+    assert err == f"eulerpade: error: {refusal.value}\n"
+
+
+def test_verify_names_what_a_record_lacks(capsys, monkeypatch):
+    code, _, err = verify_text(capsys, monkeypatch, "[]")
+    assert (code, err) == (1, "eulerpade: error: a certificate record is a JSON object, not list\n")
+    code, _, err = verify_text(capsys, monkeypatch, '{"status": "nonzero"}')
+    assert (code, err) == (1, "eulerpade: error: the certificate record has no key 'field_d'\n")
 
 
 def test_verify_refuses_a_missing_file(capsys, tmp_path):

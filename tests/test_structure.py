@@ -6,14 +6,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "eulerpade"
 
 
-def _private_padics_imports(path: Path) -> list[str]:
-    """The _-prefixed names that one module imports from eulerpade.padics."""
+def _private_imports(path: Path, module: str) -> list[str]:
+    """The _-prefixed names that one file imports from eulerpade.<module>."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.ImportFrom):
             continue
-        relative = node.level == 1 and node.module == "padics"
-        if relative or node.module == "eulerpade.padics":
+        relative = node.level == 1 and node.module == module
+        if relative or node.module == f"eulerpade.{module}":
             names += [alias.name for alias in node.names if alias.name.startswith("_")]
     return names
 
@@ -26,7 +26,20 @@ def test_only_padics_knows_the_residue_law():
     leaks = {
         p.name: names
         for p in modules
-        if p.stem != "padics" and (names := _private_padics_imports(p))
+        if p.stem != "padics" and (names := _private_imports(p, "padics"))
+    }
+    assert leaks == {}
+
+
+def test_the_certificate_check_is_public():
+    # verify_certificate is the one check: cli, and any other module,
+    # reach certify through its public names
+    modules = sorted(SRC.glob("*.py"))
+    assert "cli" in {p.stem for p in modules}
+    leaks = {
+        p.name: names
+        for p in modules
+        if p.stem != "certify" and (names := _private_imports(p, "certify"))
     }
     assert leaks == {}
 
