@@ -7,6 +7,7 @@ embedding quadratic irrationals into Z_p).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -75,8 +76,9 @@ def prime_range(lo: int, hi: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, stopped at a prime cofactor
-    and refused at one not shown prime once the divisor passes PRIME_SCAN_MAX."""
+    """Prime factorization of |n| by trial division, stopped at a cofactor that
+    is a prime or a prime's power and refused at one not shown to be either
+    once the divisor passes PRIME_SCAN_MAX."""
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
@@ -85,11 +87,18 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f, tested = 5, 0
+    f, tested, next_power_check, k = 5, 0, 1001, 1
     while f * f <= n:
         # past 1000, ask is_prime once about each cofactor below 3.3e24, where it is exact
         if f > 1000 and n != tested and n < 3.3e24 and is_prime(tested := n):
             break
+        # and, each time f doubles, whether it is a prime's power: a cofactor
+        # that loses many factors past 1000 does not pay for each
+        if f >= next_power_check:
+            next_power_check = 2 * f
+            if root := _prime_power(n, f):
+                n, k = root
+                break
         if f > PRIME_SCAN_MAX:
             raise PrecisionCapError(
                 f"the cofactor {n} is not shown prime and has no factor up to "
@@ -101,8 +110,39 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
         f += 6
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = out.get(n, 0) + k
     return out
+
+
+def _prime_power(n: int, f: int) -> tuple[int, int] | None:
+    """(r, k) with n = r^k, k >= 2 and r prime, for an n with no prime factor
+    below f; None if n is no such power or r is not shown prime.
+
+    Only the largest k with an integer root can have a prime root, since
+    r = s^j would make n an s^(jk).  r's prime factors are n's, so r < f^2
+    is prime; a larger r is shown prime by is_prime, below 3.3e24 only.
+    """
+    log2_n = math.log2(n)
+    # r < 3.3e24 < 2^82 needs n < 2^(82k), and r >= f > 2^9 needs n > 2^(9k)
+    for k in range(n.bit_length() // 9, max(1, -(-n.bit_length() // 82) - 1), -1):
+        # n^(1/k) to a relative 2^-44, as log2(n)/k < 82: a root below 2^40 is
+        # within 1/16 of it, so an estimate 1/4 from every integer rules k out
+        estimate = 2.0 ** (log2_n / k)
+        if estimate < 2**40 and abs(estimate - round(estimate)) > 0.25:
+            continue
+        r = math.isqrt(n) if k == 2 else _integer_root(n, k)
+        if r**k == n:
+            return (r, k) if r < f * f or r < 3.3e24 and is_prime(r) else None
+    return None
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, k >= 2 and a root below 2^1000: Newton's
+    method from above, started just above the root's double."""
+    r = int(2.0 ** (math.log2(n) / k) * (1 + 2**-30)) + 2
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
 def squarefree_part(n: int) -> int:
@@ -128,13 +168,29 @@ def euler_phi(n: int) -> int:
 
 
 def padic_ord_int(n: int, p: int) -> int:
-    """v_p(n) for a nonzero integer."""
+    """v_p(n) for a nonzero integer: one division a factor for the first few,
+    which is all most calls need, then the powers p^(2^i) by repeated squaring,
+    so a valuation v costs O(log v) big divisions, not v."""
     if n == 0:
         raise ValueError("v_p(0) is undefined")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            break
+    else:
+        return v
+    powers = [p]  # p^(2^i) for each i whose power divided n, and the next
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    # what is left of v is below 2^(len(powers) - 1): its binary digits, from the top
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 

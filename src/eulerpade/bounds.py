@@ -203,6 +203,41 @@ def _margin_key(l: int, m: int) -> tuple[float, float, float]:
     return float(l), 2 * m / l, float(l * l)
 
 
+def _key_class_edge(key: tuple[float, float, float], m: int, up: bool) -> int:
+    """The last int k (up) or the first (not up) with _margin_key(k, m) == key,
+    for the key of an l with 2 <= l <= 2^511.
+
+    int-to-float conversion and int/int true division are correctly rounded,
+    so each part of the key is monotone in k: float(k) and float(k*k) never
+    fall and 2m/k never rises.  The k that share one part's double are then
+    an interval, and the k that share the key, the intersection of three
+    intervals, are one too: every k between l and its class edge has l's N.
+    Each part's interval ends where the part's exact value crosses the
+    midpoint between its double and that double's neighbour, found in ints;
+    a k on the midpoint rounds half to even, so the candidate is tested and
+    its neighbour back toward l taken when it rounds away.
+    """
+    x, q, y = key
+
+    def half_gap(d: float, toward: float) -> int:
+        """Half the gap from the integral double d to its neighbour toward `toward`, rounded down."""
+        return int(abs(math.nextafter(d, toward) - d)) // 2
+
+    # q's neighbour on the edge's side is toward 0 for larger k, as 2m/k falls;
+    # 2m/k crosses their midpoint (qa*nb + na*qb) / (2*qb*nb) at k = 4m*qb*nb / (qa*nb + na*qb)
+    (qa, qb), (na, nb) = q.as_integer_ratio(), math.nextafter(q, 0.0 if up else math.inf).as_integer_ratio()
+    kq_num, kq_den = 4 * m * qb * nb, qa * nb + na * qb
+    if up:  # the largest k with k, 2m/k and k*k on the key's side of each midpoint
+        kx, kq = int(x) + half_gap(x, math.inf), kq_num // kq_den
+        ky = math.isqrt(int(y) + half_gap(y, math.inf))
+    else:  # the least such k
+        kx, kq = int(x) - half_gap(x, 0.0), -(-kq_num // kq_den)
+        ky = math.isqrt(int(y) - half_gap(y, 0.0) - 1) + 1
+    back = 1 if up else -1
+    settled = kx - back * (float(kx) != x), kq - back * (2 * m / kq != q), ky - back * (float(ky * ky) != y)
+    return min(settled) if up else max(settled)
+
+
 def _margin_of_key(m: int, kappa: int, c1: float, log_h: float):
     """N(l) for l >= 2 from the doubles _margin_key(l, m), the logs free of l taken once;
     each operation keeps the formula's order and grouping, so every value is the same double."""
@@ -280,7 +315,8 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
 
     Computes s, scans for ell = max{l >= 2 : N(l) >= 0} (geometric bracket,
     its first steps a lookup in _DOUBLING_TABLE, then binary search on the
-    decreasing flank), and emits the prime
+    decreasing flank, which past 2^96 gives each midpoint in the key class
+    of an end that end's sign from the class edges), and emits the prime
     interval ]log(logH/loglogH), 17m logH/loglogH[ together with the
     exponent (m+1) + 114 m^2 logloglogH/loglogH.  The containment of
     [log(ell+1), m(ell+2)] in the interval is re-checked on every call; a
@@ -305,15 +341,35 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         lo, hi = _doubling_bracket(c1, log_h)
         while margin(*_margin_key(hi, m)) >= 0:
             lo, hi = hi, hi * 2
-        # N takes l only through its key: a mid with lo's or hi's key has that end's sign
+        # N takes l only through its key: a mid with lo's or hi's key has that end's sign.
+        # A key class holds about l/2^53 ints, so skipping the classes of lo and
+        # hi saves about log2(lo) - 53 keys for a few class edges, each costing
+        # about eight keys: it pays from about lo = 2^96, once hi - lo is a few classes
         lo_key, hi_key = _margin_key(lo, m), _margin_key(hi, m)
-        while hi - lo > 1:
+        while hi - lo > 1 and (lo < 2**96 or hi - lo > lo >> 50):
             mid = (lo + hi) // 2
             key = _margin_key(mid, m)
             if key == lo_key or (key != hi_key and margin(*key) >= 0):
                 lo, lo_key = mid, key
             else:
                 hi, hi_key = mid, key
+        if hi - lo > 1:
+            # the same path, once [lo, hi] spans only a few key classes: a mid
+            # up to the end of lo's class or from the start of hi's has that
+            # end's sign, and once the two classes meet every later mid does,
+            # so the path ends at the end of lo's class
+            lo_edge, hi_edge = _key_class_edge(lo_key, m, True), _key_class_edge(hi_key, m, False)
+            while lo_edge + 1 < hi_edge:
+                mid = (lo + hi) // 2
+                if mid <= lo_edge:
+                    lo = mid
+                elif mid >= hi_edge:
+                    hi = mid
+                elif margin(*(key := _margin_key(mid, m))) >= 0:
+                    lo, lo_edge = mid, _key_class_edge(key, m, True)
+                else:
+                    hi, hi_edge = mid, _key_class_edge(key, m, False)
+            lo = lo_edge
         ell = lo
 
         loglog_h = math.log(log_h)

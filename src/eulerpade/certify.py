@@ -126,7 +126,8 @@ def certificate_from_json(obj: object) -> Certificate:
     """Read back a to_json() record, refusing with ValueError a value that
     is not a dict, a missing key, an unknown status, a field_d that is
     neither null nor an int, lambdas or alphas that are not lists of
-    strings, that do not parse or that break the scan's input rules, a place
+    strings, that do not parse or that break the scan's input rules, a
+    field_d that trial division cannot show squarefree or not, a place
     that is not null or a dict with p, splitting, e and f, a place whose p
     is not an int, a place that places_above(K, p) does not list or whose e
     and f are not that place's, a prime other than the place's p (null
@@ -160,7 +161,10 @@ def certificate_from_json(obj: object) -> Certificate:
     field_d = obj["field_d"]
     if field_d is not None and type(field_d) is not int:
         raise ValueError(f"field_d must be null or an int, got {field_d!r}")
-    K = QuadraticField(field_d)
+    try:
+        K = QuadraticField(field_d)
+    except PrecisionCapError as exc:  # squarefree is not settled within the factoring budget
+        raise ValueError(f"field_d {field_d} cannot be read: {exc}") from None
     alphas = _parsed_list(obj, "alphas", K)
     lambdas = _parsed_list(obj, "lambdas", K)
     lambdas, alphas = _validated_form(lambdas, alphas, K.d)

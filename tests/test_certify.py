@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import eulerpade.arith as arith
+import eulerpade.bounds as bounds
 import eulerpade.certify as certify
 from eulerpade.arith import factorize, prime_range, primes_upto
 from eulerpade.errors import (
@@ -35,6 +36,7 @@ from eulerpade.bounds import (
     ValuationSetDescriptor,
     _DOUBLING_TABLE,
     _doubling_bracket,
+    _key_class_edge,
     _margin_key,
     constants_c1_c2,
     effective_bounds,
@@ -393,6 +395,66 @@ def test_equal_keys_give_equal_margins():
                         log_height_margin(base + d, m, kappa, c1, log_h)
                     ), (base, d, m)
     assert equal > 300
+
+
+def test_key_class_edges_bound_the_key_class():
+    # each part of the key is monotone in l, so l's key class is the interval
+    # between its edges: the edges share l's key and the ints just past them do not
+    rng = random.Random(14)
+    for l in range(2, 200):
+        for m in (1, 400):
+            key = _margin_key(l, m)
+            assert _key_class_edge(key, m, False) == l == _key_class_edge(key, m, True)
+    checked = 0
+    for bits in range(53, 512):
+        # at a power of two the spacing of float(l) halves below l
+        ls = {2**bits, 2**bits - 1, 2**bits + 1, rng.randrange(2**bits, 2 ** (bits + 1))}
+        for l in sorted(x for x in ls if x <= 2**511):
+            for m in (1, 2, rng.randint(3, 399), 400):
+                key = _margin_key(l, m)
+                down, up = _key_class_edge(key, m, False), _key_class_edge(key, m, True)
+                assert down <= l <= up, (l, m)
+                assert _margin_key(up, m) == key != _margin_key(up + 1, m), (l, m)
+                assert _margin_key(down, m) == key != _margin_key(down - 1, m), (l, m)
+                checked += 1
+    assert checked > 7000
+
+
+def _plain_search_points(m, kappa, c1, log_h):
+    """Every l at which the plain search evaluates N, doubling and bisecting from (2, 4)."""
+    points, lo, hi = {2, 4}, 2, 4
+    while log_height_margin(hi, m, kappa, c1, log_h) >= 0:
+        lo, hi = hi, hi * 2
+        points.add(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        points.add(mid)
+        if log_height_margin(mid, m, kappa, c1, log_h) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return points
+
+
+def test_the_ell_search_skips_key_classes_on_the_plain_path(monkeypatch):
+    # past the switch the search builds keys only where the plain search
+    # evaluates N, plus ell + 1, and far fewer of them
+    keyed = []
+    real = bounds._margin_key
+    monkeypatch.setattr(bounds, "_margin_key", lambda l, m: keyed.append(l) or real(l, m))
+    effective_bounds(1, 1, 3.678, 4.1829e129)  # 428 keys before the class search
+    assert len(keyed) <= 80
+    rng = random.Random(27)
+    inputs = [(1, 1, 3.678, 4.1829e129), (3, 1, 1.231, 1.1943e141), (1, 1, 0.5, 1e40)]
+    inputs += [(rng.randint(1, 23), rng.randint(1, 6), 10 ** rng.uniform(-3, 2), 10 ** rng.uniform(30, 150))
+               for _ in range(40)]
+    for args in inputs:
+        keyed.clear()
+        try:
+            report = effective_bounds(*args)
+        except (HeightTooSmallError, BoundChainError):
+            continue
+        assert set(keyed) <= _plain_search_points(*args) | {report.ell + 1}, args
 
 
 @pytest.mark.parametrize("l", [1, 0, -3])
@@ -938,6 +1000,16 @@ def test_certificate_record_with_a_mistyped_or_inconsistent_field_is_refused(rec
     forge(obj)
     with pytest.raises(ValueError, match=field):
         certificate_from_json(obj)
+
+
+def test_certificate_record_whose_field_cannot_be_factored_is_refused():
+    # trial division cannot settle whether 10^40 + 1 is squarefree; the reader
+    # refuses with ValueError, as for every other value it cannot read
+    obj = _fib_record()
+    obj["field_d"] = 10**40 + 1
+    with pytest.raises(ValueError, match=r"^field_d 10000000000000000000000000000000000000001 cannot be read: ") as refusal:
+        certificate_from_json(obj)
+    assert not isinstance(refusal.value, PrecisionCapError)
 
 
 def test_certificate_with_an_unknown_status():

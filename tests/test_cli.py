@@ -185,6 +185,20 @@ def test_limsup_large_prime_norm_is_fast(capsys):
     assert len(json.loads(out)["log_values"]) == 3
 
 
+def test_limsup_at_a_prime_square_norm(capsys):
+    # the norm (2^61 - 1)^2 was refused after trial division to 10^7; the
+    # product of two distinct primes past 10^12 still is
+    code, out, err = run_cli(capsys, ["limsup", "--alphas", "2305843009213693951", "--field", "5", "--lmax", "5"])
+    assert (code, err) == (0, "")
+    assert out.startswith("c1 = 2.12676e+37, c2 = 9.22337e+18 ")
+    code, out, err = run_cli(capsys, ["limsup", "--alphas", "1000000000100000000002379", "--lmax", "3"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "eulerpade: error: the cofactor 1000000000100000000002379 is not shown prime and has no "
+        "factor up to the trial-division budget of 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -583,6 +597,18 @@ def test_verify_refuses_a_claim_over_the_term_budget(capsys, monkeypatch, over_b
     assert err == (
         "eulerpade: error: the sum at rational@47 to precision 4096 needs 188470 terms, "
         "70864720 word products, over the budget of 64000000\n"
+    )
+
+
+def test_verify_refuses_a_field_it_cannot_factor(capsys, monkeypatch):
+    record = json.loads(run_cli(capsys, [*FIB, "--json"])[1])
+    record["field_d"] = 10**40 + 1
+    code, out, err = verify_text(capsys, monkeypatch, json.dumps(record))
+    assert (code, out) == (1, "")
+    assert err == (
+        "eulerpade: error: field_d 10000000000000000000000000000000000000001 cannot be read: "
+        "the cofactor 19721061166646717498359681 is not shown prime and has no factor up to "
+        "the trial-division budget of 10000000\n"
     )
 
 

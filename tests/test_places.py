@@ -157,6 +157,52 @@ def test_factorize_refuses_past_the_divisor_budget(monkeypatch):
     assert factorize(7 * 1000000007) == {7: 1, 1000000007: 1}  # shown prime at divisor 1001
 
 
+def test_factorize_stops_at_a_prime_power_cofactor(monkeypatch):
+    # a cofactor r^k with r prime: an r below f^2 needs no is_prime, a larger
+    # one is shown prime by it, and only below 3.3e24
+    m61 = 2**61 - 1
+    for k in range(1, 12):
+        assert factorize(7**3 * m61**k) == {7: 3, m61: k}
+    assert factorize(1009**40 * 7) == {7: 1, 1009: 40}
+    # the cofactor left at divisor 1019 is looked at again once f has doubled
+    assert factorize(1013 * 1019 * m61**3) == {1013: 1, 1019: 1, m61: 3}
+    p12 = 10**12 + 39  # its square, below 3.3e24, once ran trial division to the budget
+    assert factorize(p12**2) == {p12: 2}
+    monkeypatch.setattr(arith, "PRIME_SCAN_MAX", 2003)
+    # a composite root, and is_prime's first liar past 3.3e24, are not taken for primes
+    psi_13 = 1287836182261 * 2575672364521
+    for n in ((2011 * 2017) ** 2, psi_13**2):
+        with pytest.raises(PrecisionCapError, match=f"cofactor {n} is not shown prime"):
+            factorize(n)
+
+
+def test_integer_root_is_the_floor_of_the_root():
+    rng = random.Random(66)
+    for _ in range(3000):
+        k = rng.randint(3, 60)
+        r = rng.randint(2, 2**rng.randint(2, 100))
+        for n in (r**k - 1, r**k, r**k + 1, rng.randint(r**k, (r + 1) ** k - 1)):
+            root = arith._integer_root(n, k)
+            assert root**k <= n < (root + 1) ** k, (n, k)
+
+
+def test_padic_ord_int_matches_the_plain_loop():
+    # past a few factors the valuation is split off by repeated squaring
+    def plain(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    rng = random.Random(65)
+    for _ in range(400):
+        p = rng.choice((2, 3, 101))
+        e = rng.choice((0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, rng.randint(0, 2000)))
+        u = rng.randint(1, 10**30) * rng.choice((1, -1))
+        assert arith.padic_ord_int(u * p**e, p) == plain(u * p**e, p), (u, p, e)
+
+
 class _Composite(Exception):
     pass
 
