@@ -38,7 +38,7 @@ print("\n== the determinant collapses to one monomial ==")
 for m, l, alphas in [(1, 1, [1]), (2, 1, [1, -1]), (2, 2, [2, 3])]:
     exponent, b, equal = pade_determinant(m, l, alphas)
     print(f"m={m} l={l} alpha={alphas}: det = ({b}) t^{exponent}, "
-          f"closed form == Bareiss: {equal}")
+          f"leading minor == closed form: {equal}")
 
 print("\n== picking mu for a concrete linear form ==")
 mu, w = select_mu(2, [3, -1, 2], [1, -1])

@@ -11,16 +11,18 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import NotSplitError, PrecisionCapError
+from .errors import InvalidPrimeError, NotSplitError, PrecisionCapError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # 41 lifts the first miss from 3.2e23
+_MR_EXACT_BELOW = 3317044064679887385961981  # 1287836182261 * 2575672364521, the least liar to all
 
 #: the largest integer a sieve or a trial divisor reaches (about 0.5 s and 0.9 s of work)
 PRIME_SCAN_MAX = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3317044064679887385961981, about 3.3e24)."""
+    """Deterministic Miller-Rabin, exact below _MR_EXACT_BELOW (about 3.3e24);
+    an n past it that every base passes is refused with InvalidPrimeError."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -41,6 +43,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidPrimeError(f"the primality of {n} is not settled: it passes every "
+                                f"Miller-Rabin base, shown exact only below {_MR_EXACT_BELOW}")
     return True
 
 
@@ -90,7 +95,7 @@ def factorize(n: int) -> dict[int, int]:
     f, tested, next_power_check, k = 5, 0, 1001, 1
     while f * f <= n:
         # past 1000, ask is_prime once about each cofactor below 3.3e24, where it is exact
-        if f > 1000 and n != tested and n < 3.3e24 and is_prime(tested := n):
+        if f > 1000 and n != tested and n < _MR_EXACT_BELOW and is_prime(tested := n):
             break
         # and, each time f doubles, whether it is a prime's power: a cofactor
         # that loses many factors past 1000 does not pay for each
@@ -132,7 +137,7 @@ def _prime_power(n: int, f: int) -> tuple[int, int] | None:
             continue
         r = math.isqrt(n) if k == 2 else _integer_root(n, k)
         if r**k == n:
-            return (r, k) if r < f * f or r < 3.3e24 and is_prime(r) else None
+            return (r, k) if r < f * f or r < _MR_EXACT_BELOW and is_prime(r) else None
     return None
 
 

@@ -20,8 +20,9 @@ closed form, which is what guarantees a usable mu.
 
 All of it runs on int numerators over one denominator per polynomial (see
 polys): the product series scales the denominators of P and of the point
-once, the order check compares numerators, and the determinant's exact
-divisions are int pseudo-divisions by the norm of the divisor's lead.
+once, the order check compares numerators, and the determinant is decided
+from the Pade band and one scalar leading minor (see pade_determinant),
+with no polynomial product.
 Every entry point refuses, before it builds anything, a call over
 PADE_BUDGET series coefficients.
 """
@@ -40,8 +41,8 @@ from .numfield import FieldElement, _as_elem, _validated_lambdas, _validated_poi
 from .polys import (
     Poly,
     _cleared_leading_column,
-    _exact_quotient,
     _factorial_series_product,
+    _leading_minor,
     _root_power_product,
 )
 
@@ -49,11 +50,13 @@ from .polys import (
 #: the most series coefficients one call may build, counted before anything
 #: is built: m columns of L + mu for a system, m series to the cutoff for an
 #: order check, and the systems for every mu in 0..m for pade_determinant
-#: and select_mu.  The work grows faster than the count, so the slowest calls
-#: it admits have m = 1: pade_construct(1, 799, 1, [1]) takes about 2.2 s,
-#: pade_generic about 2.6 s, pade_determinant(1, 399, [1]) 1.9 s and an order
-#: check to 805 1.2 s; at m = 3 the slowest take about 0.1 s (Python 3.11,
-#: x86-64)
+#: and select_mu; pade_determinant builds l more per series than it counts,
+#: the Pade band.  The slowest calls it admits have m = 1:
+#: pade_construct(1, 799, 1, [1]) takes about 0.2 s, pade_generic 0.21 s,
+#: an order check to 800 0.08 s and pade_determinant(1, 399, [1]) 0.1 s;
+#: for m = 2..5 the slowest determinants (l = 66, 21, 9, 4) take about 9,
+#: 3, 3 and 1.2 ms.  The count is blind to height: pade_determinant(1, 399,
+#: [10**20]) takes 0.9-1.0 s (Python 3.11, x86-64)
 PADE_BUDGET = 800
 
 
@@ -166,7 +169,7 @@ class PadeSystem:
             raise ValueError(f"j must be in 1..{self.m}")
         _check_budget(1, n + 1)
         return _factorial_series_product(
-            self.B[0], (self.p0, self.p1), self.alpha[j - 1], n + 1
+            self.B[0], (self.p0, self.p1), self.alpha[j - 1], n + 1, n
         )[n]
 
     def order_check(self, cutoff: int) -> list[int]:
@@ -272,46 +275,16 @@ def pade_generic(l_vec, mu: int, beta, p0, p1) -> PadeSystem:
     )
 
 
-def _poly_det(matrix: list[list[Poly]], d) -> Poly:
-    """The determinant over K[t] by fraction-free Bareiss elimination.
-
-    Step k replaces each entry below and right of the pivot by the 2x2
-    minor with the pivot, divided exactly by the previous pivot (Bareiss,
-    Math. Comp. 22, 1968), so entries stay minors of the input and the
-    last one is the determinant.  A zero pivot swaps in a later row.
-    """
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    sign = 1
-    previous = Poly([1], d)
-    for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return Poly.zero(d)
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = _exact_quotient(
-                    rows[i][j] * pivot - rows[i][k] * rows[k][j], previous
-                )
-        previous = pivot
-    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
-
-
 def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     """The determinant of the (m+1) x (m+1) matrix of B_{l,mu,j} over mu, j.
 
     Returns (exponent, b, determinant_equal): the determinant is the single
-    monomial b * t^(m(m+1)l + m(m-1)/2) with
+    monomial b * t^e, e = m(m+1)l + m(m-1)/2, with
 
         b = (-1)^(l m(m-1)/2) (l!)^m prod_{mu<m} (ml+mu)!
             * prod_j alpha_j^(2l) * Delta^(2l+1),  Delta = prod_{i<j} (alpha_j - alpha_i)
 
-    and the flag reports exact agreement with the whole polynomial
-    determinant, taken by fraction-free Bareiss elimination over K[t].
+    and the flag reports exactly whether the determinant is b t^e.
     (Expanding along the first column, the lowest order is attained at the
     row mu = m, which gives b = (-1)^(ml) prod_{mu<m} (ml+mu)!
     prod_j alpha_j^l S_j * Delta with S_j = sum_i sigma_i i^l alpha_j^i.
@@ -319,6 +292,21 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     (w d/dw)^l sigma at alpha_j, is (-1)^l l! alpha_j^l
     prod_{k != j} (alpha_k - alpha_j)^l.)  So b is nonzero exactly when the
     points are nonzero and pairwise distinct.
+
+    The flag is decided with no polynomial product.  Row mu of the matrix
+    holds C_0, of degree at most L = ml, and for each j the part B_j of
+    Y_j = C_0(t) G(alpha_j t) below t^(L+mu), so its degree is at most
+    D_mu = max(L, L+mu-1), and sum_mu D_mu = e.  Hence deg det <= e, and
+    det's coefficient of t^e is det T, T's row mu holding the row's
+    coefficients of t^(D_mu) (polys._leading_minor).  In K[[t]], subtracting
+    G(alpha_j t) times column 0 from column j keeps det and turns entry
+    (mu, j) into -R_j, the part of Y_j from t^(L+mu) on.  The band
+    L+mu <= n < L+mu+l of Y_j is checked to vanish (RuntimeError naming n,
+    mu and j if not), so R_j has order at least L+mu+l; expanding along
+    column 0, the term in which row mu0 supplies column 0 has order at least
+    sum_{mu != mu0} (L+mu+l) >= e.  So ord det >= e, det = det(T) t^e, and
+    the flag is det T == b; a row of degree below D_mu makes det T = 0.
+    Y_j is built only from t^(L+mu-1), B_j's top coefficient.
     """
     _check_budget(m, sum(m * l + mu for mu in range(m + 1)))
     sv = _euler_sigma(m, l, alpha)
@@ -333,10 +321,19 @@ def pade_determinant(m: int, l: int, alpha) -> tuple[int, FieldElement, bool]:
     sign = -1 if l * (m * (m - 1) // 2) % 2 else 1
     b = sign * scale * math.prod(alpha) ** (2 * l) * delta ** (2 * l + 1)
 
-    matrix = [list(_cleared_columns(sv, mu, 1, 1)[0]) for mu in range(m + 1)]
-    det = _poly_det(matrix, d)
-    expected = Poly.monomial(b, exponent, d)
-    return exponent, b, det == expected
+    rows, tops = [], []
+    for mu in range(m + 1):
+        c0, _ = _cleared_leading_column(sv.poly, (1, 1), mu)
+        start = sv.L + mu
+        rows.append([c0])
+        tops.append(max(sv.L, start - 1))
+        for j, point in enumerate(alpha, start=1):
+            window = _factorial_series_product(c0, (1, 1), point, start + l, start - 1)
+            n = window.order(start)
+            if n is not None:
+                raise RuntimeError(f"vanishing band violated at n={n}, mu={mu}, j={j}")
+            rows[-1].append(window)
+    return exponent, b, _leading_minor(rows, tops) == b
 
 
 def select_mu(l: int, lambda_vec, alpha) -> tuple[int, FieldElement]:

@@ -10,9 +10,10 @@ and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement
 coefficients are built only when coeffs or [i] is read.  Only what the
 Pade construction needs lives here, and this module alone reads the
 numerators: besides Poly, the expansion of prod_j (beta_j - w)^{l_j}, the
-Pade column C_0 built on it with the clearing factor [P]_{L+mu}, the
-product of a polynomial with the series sum_n [P]_n (x t)^n, and the exact
-division behind Bareiss elimination.
+Pade column C_0 built on it with the clearing factor [P]_{L+mu}, any
+window of coefficients of the product of a polynomial with the series
+sum_n [P]_n (x t)^n, each by Horner's rule, and the scalar leading minor
+that decides the Pade determinant.
 """
 
 from __future__ import annotations
@@ -221,68 +222,83 @@ def _cleared_leading_column(sigma: Poly, p, mu: int) -> tuple[Poly, FieldElement
     return _poly(A, B, sigma._c * e**L, d), _reduced(x, y, e ** (L + mu), d)
 
 
-def _factorial_series_product(a0: Poly, p, point, n_terms: int) -> Poly:
-    """a0(t) sum_n [P]_n (point t)^n below t^n_terms, [P]_n = prod_{k<n} P(k),
-    for P = p[0] + p[1] x of degree one.  With e the denominator of P and f
-    that of the point, every term is an int pair over (ef)^(n_terms-1)."""
+def _factorial_series_product(a0: Poly, p, point, n_terms: int, lo: int = 0) -> Poly:
+    """a0(t) sum_n [P]_n (point t)^n from t^lo to below t^n_terms (0 below
+    t^lo), [P]_n = prod_{k<n} P(k), for P = p[0] + p[1] x of degree one.
+
+    With q the product of the denominators of P and the point, the series'
+    term n is S_n / q^n, S_n the product of the int pairs pi(k) = q P(k) point
+    for k < n.  Coefficient n is q^(n_terms-1-n) S_a H over q^(n_terms-1),
+    with E = min(deg a0, n), a = n - E and, by Horner's rule on a0's
+    numerators a_i, H = q^E a_E + pi(a) (q^(E-1) a_(E-1) + ... + pi(n-1) a_0):
+    every step multiplies by a small pair.
+    """
     d = a0.d
     dd = d or 0
     (p0, q0), (p1, q1), e = _linear_pairs(p, d)
     a, b, f = _as_elem(point, d).integral_form()
     (r0, s0), (r1, s1) = _pair_mul(p0, q0, a, b, dd), _pair_mul(p1, q1, a, b, dd)
-    SA, SB = [1], [0]
-    x, y = 1, 0
-    for k in range(n_terms - 1):
-        x, y = _pair_mul(x, y, r0 + r1 * k, s0 + s1 * k, dd)  # times e f P(k) point
-        SA.append(x)
-        SB.append(y)
-    q = e * f
+    q, top, L = e * f, n_terms - 1, a0.degree
+    CA, CB = [x * q**i for i, x in enumerate(a0._A)], [y * q**i for i, y in enumerate(a0._B)]
+    PA = [r0 + r1 * k for k in range(top)]
+    PB = [s0 + s1 * k for k in range(top)]
+    S = [(1, 0)]  # S_a for a <= n_terms - 1 - deg a0
+    for k in range(max(0, top - L)):
+        S.append(_pair_mul(*S[-1], PA[k], PB[k], dd))
+    irrational = any(CB) or s0 or s1
+    A, B = [0] * n_terms, [0] * n_terms
+    for n in range(max(lo, 0), n_terms):
+        E = min(L, n)
+        x, y = CA[0], CB[0]
+        if irrational:
+            for i in range(1, E + 1):
+                u, v = PA[n - i], PB[n - i]
+                x, y = CA[i] + x * u + dd * y * v, CB[i] + x * v + y * u
+            A[n], B[n] = _pair_mul(x, y, *S[n - E], dd)
+        else:
+            for i in range(1, E + 1):
+                x = CA[i] + x * PA[n - i]
+            A[n] = x * S[n - E][0]
     if q != 1:
-        powers = [q ** (n_terms - 1 - n) for n in range(n_terms)]
-        SA = [x * w for x, w in zip(SA, powers)]
-        SB = [y * w for y, w in zip(SB, powers)]
-    A, B = _pair_product(a0._A, a0._B, SA, SB, d, n_terms)
-    return _poly(A, B, a0._c * q ** (n_terms - 1), d)
+        A = [x * q ** (top - n) for n, x in enumerate(A)]
+        B = [y * q ** (top - n) for n, y in enumerate(B)]
+    return _poly(A, B, a0._c * q ** max(top, 0), d)
 
 
-def _exact_quotient(num: Poly, den: Poly) -> Poly:
-    """num / den by pseudo-division on the int numerators.
-
-    Both numerators are multiplied by the conjugate of den's lead, which
-    makes that lead the int norm N, and den's numerators and denominator
-    are negated together if N < 0.  Each quotient step divides a remainder
-    pair exactly by N, after scaling the remainder and the quotient so far
-    by the part of N the pair lacks.  A nonzero remainder means den does
-    not divide num and raises ArithmeticError.
+def _leading_minor(rows: list[list[Poly]], tops: list[int]) -> FieldElement:
+    """det T, T_ik the coefficient of t^tops[i] in entry ik of a square matrix
+    of Polys whose row i has degree at most tops[i]: the determinant's
+    coefficient of t^(sum tops).  Each row of T is cleared by the lcm of its
+    denominators, and its int pairs are eliminated fraction-free over
+    Z[sqrt(d)] (Bareiss, Math. Comp. 22, 1968), each exact division by the
+    previous pivot through its conjugate and int norm.
     """
-    d = num.d
-    NA, NB, num_c = num._A, num._B, num._c
-    DA, DB, den_c = den._A, den._B, den._c
-    a, b = DA[-1], DB[-1]
-    if b:
-        NA, NB = _pair_product(NA, NB, (a,), (-b,), d, len(NA))
-        DA, DB = _pair_product(DA, DB, (a,), (-b,), d, len(DA))
-    if DA[-1] < 0:
-        DA, DB, den_c = [-u for u in DA], [-v for v in DB], -den_c
-    top = len(DA) - 1
-    lead, DA, DB = DA[-1], DA[:top], DB[:top]
-    remA, remB = list(NA), list(NB)
-    QA = [0] * (len(NA) - top)
-    QB = list(QA)
-    scale = 1
-    for i in range(len(QA) - 1, -1, -1):
-        x, y = remA[i + top], remB[i + top]
-        g = math.gcd(x, y, lead)
-        s = lead // g
-        if s != 1:
-            remA, remB = [r * s for r in remA], [r * s for r in remB]
-            QA, QB = [q * s for q in QA], [q * s for q in QB]
-            scale *= s
-        qa = QA[i] = x // g
-        qb = QB[i] = y // g
-        PA, PB = _pair_product((qa,), (qb,), DA, DB, d, top)
-        remA[i : i + top] = [r - u for r, u in zip(remA[i : i + top], PA)]
-        remB[i : i + top] = [r - v for r, v in zip(remB[i : i + top], PB)]
-    if any(remA[:top]) or any(remB[:top]):
-        raise ArithmeticError("the divisor leaves a nonzero remainder")
-    return _poly([q * den_c for q in QA], [q * den_c for q in QB], scale * num_c, d)
+    d = rows[0][0].d
+    dd = d or 0
+    T, scale = [], 1
+    for row, top in zip(rows, tops):
+        c = math.lcm(*(poly._c for poly in row))
+        scale *= c
+        T.append([
+            (poly._A[top] * (c // poly._c), poly._B[top] * (c // poly._c))
+            if top < len(poly._A) else (0, 0)
+            for poly in row
+        ])
+    n, sign, (u, v) = len(T), 1, (1, 0)
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if T[i][k] != (0, 0)), None)
+        if pivot is None:
+            return _make(0, 0, 1, d)
+        if pivot != k:
+            T[k], T[pivot], sign = T[pivot], T[k], -sign
+        (x, y), norm = T[k][k], u * u - dd * v * v
+        for i in range(k + 1, n):
+            a, b = T[i][k]
+            for j in range(k + 1, n):
+                p, q = _pair_mul(*T[i][j], x, y, dd)
+                r, s = _pair_mul(a, b, *T[k][j], dd)
+                p, q = _pair_mul(p - r, q - s, u, -v, dd)
+                T[i][j] = (p // norm, q // norm)
+        u, v = x, y
+    x, y = T[-1][-1]
+    return _reduced(sign * x, sign * y, scale, d)

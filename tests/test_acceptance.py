@@ -26,6 +26,7 @@ from eulerpade.places import (
     product_formula_defect,
 )
 from eulerpade.padics import euler_eval_certified
+from eulerpade.polys import Poly
 from eulerpade.bounds import ValuationSetDescriptor, constants_c1_c2, effective_bounds, z_inverse
 from eulerpade.certify import (
     certify_nonvanishing,
@@ -34,6 +35,7 @@ from eulerpade.certify import (
     verify_certificate,
 )
 
+from bareiss import _poly_det
 from conftest import random_integral_element
 
 
@@ -75,13 +77,16 @@ def test_criterion_2_determinant_suite():
     cases.append((3, 2, (phi, phi.conjugate(), K5(2))))
     checked = 0
     for m, l, alphas in cases:
-        exponent, _, equal = pade_determinant(m, l, list(alphas))
+        exponent, b, equal = pade_determinant(m, l, list(alphas))
         assert equal, (m, l, alphas)
         assert exponent == m * (m + 1) * l + m * (m - 1) // 2
+        matrix = [list(pade_construct(m, l, mu, list(alphas)).B) for mu in range(m + 1)]
+        d = matrix[0][0].d
+        assert _poly_det(matrix, d) == Poly.monomial(b, exponent, d), (m, l, alphas)
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"determinant suite took {elapsed:.1f}s"
-    _report(2, f"closed form matches the Bareiss determinant on {checked} instances in {elapsed:.1f}s")
+    _report(2, f"closed form matches the leading-minor decision and the Bareiss determinant on {checked} instances in {elapsed:.1f}s")
 
 
 def test_criterion_3_sigma_annihilation():

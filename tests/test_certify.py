@@ -970,6 +970,22 @@ def test_certificate_record_with_a_composite_prime_is_refused():
         certificate_from_json(obj)
 
 
+#: the least composite that every Miller-Rabin base of arith.is_prime passes
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_certificate_at_a_p_past_the_primality_bound_is_refused():
+    # the reader refuses, with ValueError, a place at a p that is_prime cannot
+    # show prime, and the checker answers False for one built past the reader
+    record = _certify_record(3, 3)
+    record["place"]["p"] = record["prime"] = PSI_13
+    with pytest.raises(ValueError, match=f"primality of {PSI_13} is not settled"):
+        certificate_from_json(record)
+    cert = certificate_from_json(_certify_record(3, 3))
+    place = Place(PSI_13, cert.place.splitting, None)
+    assert verify_certificate(dataclasses.replace(cert, place=place)) is False
+
+
 def _certify_record(p_min=2, p_max=50):
     return certify_nonvanishing(QuadraticField(), [1, 1], [1], p_min, p_max).to_json()
 

@@ -612,6 +612,14 @@ def test_verify_refuses_a_field_it_cannot_factor(capsys, monkeypatch):
     )
 
 
+def test_eval_at_a_p_past_the_primality_bound_is_refused(capsys):
+    # 1287836182261 * 2575672364521 passes every base of is_prime; the place
+    # is refused for its primality, before any sum is priced
+    code, out, err = run_cli(capsys, ["eval", "--p", "3317044064679887385961981", "--alpha", "1", "--prec", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("eulerpade: error: the primality of 3317044064679887385961981 is not settled")
+
+
 NOT_RECORDS = [
     "", "{", "not json", "[]", "3", '"record"', "null",
     "true", "1.5", "[{}]", "{}", '{"status": "nonzero"}', '{"status": "undetermined"}',

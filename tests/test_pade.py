@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import eulerpade
-from eulerpade import bounds, certify, pade
+from eulerpade import bounds, certify, pade, polys
 from eulerpade.certify import remainder_at_unity
 from eulerpade.errors import (
     AllLambdaZeroError,
@@ -21,7 +21,6 @@ from eulerpade.errors import (
 )
 from eulerpade.numfield import QuadraticField, arch_abs_normalized
 from eulerpade.pade import (
-    _poly_det,
     pade_construct,
     pade_determinant,
     pade_generic,
@@ -33,6 +32,7 @@ from eulerpade.pade import (
 from eulerpade.places import factorial_valuation, places_above, valuation
 from eulerpade.polys import Poly
 
+from bareiss import _poly_det
 from conftest import sigma_by_linear_factors
 
 
@@ -447,6 +447,20 @@ def test_pade_budget_refuses_before_building(monkeypatch):
     system.remainder_coefficient(799, 1)
 
 
+@pytest.mark.parametrize(
+    "m, l, count",
+    [(1, 399, 799), (2, 66, 798), (3, 21, 774), (4, 9, 760), (5, 4, 675)],
+)
+def test_pade_determinant_budget_boundary(m, l, count):
+    # the largest l for each m is admitted and decided; one more is refused
+    points = [1, -1, 2, -2, 3][:m]
+    assert m * sum(m * l + mu for mu in range(m + 1)) == count <= pade.PADE_BUDGET
+    assert pade_determinant(m, l, points)[2] is True
+    over = m * sum(m * (l + 1) + mu for mu in range(m + 1))
+    with pytest.raises(PrecisionCapError, match=f"needs {over} series coefficients"):
+        pade_determinant(m, l + 1, points)
+
+
 def _cofactor_det(matrix, d):
     """The determinant by recursive cofactor expansion along the first row."""
     n = len(matrix)
@@ -506,6 +520,42 @@ def test_bareiss_matches_cofactor_expansion(d):
         matrix[-1] = [a + t * b for a, b in zip(matrix[0], matrix[1])]
         assert not _cofactor_det(matrix, d)
         assert not _poly_det(matrix, d)
+
+
+@pytest.mark.parametrize("d", [None, 5, -1])
+def test_leading_minor_is_the_top_coefficient_of_the_determinant(d):
+    # with row i of degree at most tops[i], the minor of the rows' t^tops[i]
+    # coefficients is the determinant's coefficient of t^(sum tops); rows
+    # below their cap, zero pivots and rows that must be swapped included
+    K = QuadraticField(d)
+    rng = random.Random(f"leading minor {d}")
+
+    def coeff():
+        y = Fraction(rng.randint(-5, 5), rng.choice((1, 2))) if d is not None else 0
+        return K(Fraction(rng.randint(-5, 5), rng.choice((1, 2))), y)
+
+    swapped = 0
+    for n in range(1, 6):
+        for trial in range(10):
+            tops = [rng.randint(0, 3) for _ in range(n)]
+            matrix = [[Poly([coeff() for _ in range(top + 1)], d) for _ in range(n)] for top in tops]
+            if trial == 1:  # the first pivot is 0
+                matrix[0][0] = Poly.zero(d)
+            if trial == 2:  # no pivot at all in the first column
+                for row in matrix:
+                    row[0] = Poly.zero(d)
+            if trial == 3:  # a row below its cap
+                tops[-1] += 1
+            if trial >= 4 and n > 2:  # the second pivot is 0: row 1 leads with twice row 0
+                top = tops[0] = tops[1] = max(tops[0], tops[1])
+                for k in (0, 1):
+                    a, b = matrix[0][k], matrix[1][k]
+                    matrix[1][k] = b + Poly.monomial(2 * a[top] - b[top], top, d)
+            det = _cofactor_det(matrix, d)
+            assert polys._leading_minor(matrix, tops) == det[sum(tops)]
+            assert det.degree <= sum(tops)
+            swapped += (trial == 1 or trial >= 4) and n > 2 and bool(det[sum(tops)])
+    assert swapped >= 10
 
 
 def test_select_mu_example():

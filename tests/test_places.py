@@ -213,10 +213,14 @@ def test_factorize_is_not_stopped_by_a_strong_pseudoprime(monkeypatch):
     psi_12 = 399165290221 * 798330580441
     assert psi_12 == 318665857834031151167461
     assert not arith.is_prime(psi_12)
-    # psi_13 is the first composite that is_prime calls prime
+    # psi_13 is the first composite that every base passes: is_prime refuses
+    # it, and every n past it that the bases pass, rather than call it prime
     psi_13 = 1287836182261 * 2575672364521
     assert psi_13 == 3317044064679887385961981 > 3.3e24
-    assert arith.is_prime(psi_13)
+    for n in (psi_13, 2**89 - 1):
+        with pytest.raises(InvalidPrimeError, match=f"primality of {n} is not settled"):
+            arith.is_prime(n)
+    assert not arith.is_prime(psi_13 + 2) and not arith.is_prime(2**89 + 1)
     calls = []
     real = arith.is_prime
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from eulerpade.numfield import FieldElement, QuadraticField, _as_elem
-from eulerpade.polys import Poly, _exact_quotient
+from eulerpade.polys import Poly
+
+from bareiss import _exact_quotient
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
