@@ -47,7 +47,7 @@ class ValuationSetDescriptor:
 
     @classmethod
     def cofinite(cls, excluded) -> ValuationSetDescriptor:
-        excluded = tuple(excluded)
+        excluded = tuple(dict.fromkeys(excluded))
         if not all(isinstance(v, Place) for v in excluded):
             raise ValueError("cofinite exclusions must be places")
         return cls("cofinite", excluded)
@@ -125,8 +125,8 @@ def limsup_sequence(
     """log of c2^l (ml+m)^kappa (ml+m)! prod_{v in V} ||(ml)! l!||_v for l = 1..l_max.
 
     With V cofinite the product over V is rewritten through the product
-    formula: the full product over all finite places is 1/((ml)! l!), and
-    each excluded place gives back its exact factorial valuation.  The
+    formula: the full product over all finite places is 1/((ml)! l!), and each
+    excluded place of K gives back its exact factorial valuation once.  The
     sequence is diagnostic evidence for the decay condition, not a proof.
     """
     if V.kind == "residue_classes":
@@ -134,11 +134,11 @@ def limsup_sequence(
             "residue-class collections are judged by their decay slope instead"
         )
     _, c2 = constants_c1_c2(K, alpha_vec, V)
-    return _limsup_values(K.kappa, len(alpha_vec), c2, V, l_max)
+    return _limsup_values(K, len(alpha_vec), c2, V, l_max)
 
 
 def _limsup_values(
-    kappa: int, m: int, c2: float, V: ValuationSetDescriptor, l_max: int
+    K: QuadraticField, m: int, c2: float, V: ValuationSetDescriptor, l_max: int
 ) -> list[float]:
     """limsup_sequence for m points whose constant c2 is already known;
     an l_max below 1 raises ValueError, one over LIMSUP_MAX_L
@@ -147,10 +147,10 @@ def _limsup_values(
         raise ValueError(f"l_max must be at least 1, got {l_max}")
     if l_max > LIMSUP_MAX_L:
         raise PrecisionCapError(f"l_max {l_max} is over the work budget of {LIMSUP_MAX_L}")
-    out, log_c2 = [], math.log(c2)
-    # for each excluded place: p, kappa_v, log p and v_p((ml)!) + v_p(l!),
+    out, log_c2, kappa = [], math.log(c2), K.kappa
+    # for each excluded place of K (its d is K's): p, kappa_v, log p and v_p((ml)!) + v_p(l!),
     # which each step of l raises by v_p of m*l - m + 1, ..., m*l and of l
-    excluded = [[v.p, v.kappa_v, math.log(v.p), 0] for v in V.excluded]
+    excluded = [[v.p, v.kappa_v, math.log(v.p), 0] for v in V.excluded if v.d == K.d]
     for l in range(1, l_max + 1):
         a_l = (
             l * log_c2
@@ -342,23 +342,22 @@ def effective_bounds(m: int, kappa: int, c1: float, log_h: float) -> BoundReport
         while margin(*_margin_key(hi, m)) >= 0:
             lo, hi = hi, hi * 2
         # N takes l only through its key: a mid with lo's or hi's key has that end's sign.
-        # A key class holds about l/2^53 ints, so skipping the classes of lo and
-        # hi saves about log2(lo) - 53 keys for a few class edges, each costing
-        # about eight keys: it pays from about lo = 2^96, once hi - lo is a few classes
-        lo_key, hi_key = _margin_key(lo, m), _margin_key(hi, m)
+        # A key class holds about l/2^53 ints, so skipping the classes of lo and hi saves
+        # about log2(lo) - 53 keys for a few class edges, each costing about eight keys:
+        # it pays from about lo = 2^96, once hi - lo is a few classes; until then N decides each mid
         while hi - lo > 1 and (lo < 2**96 or hi - lo > lo >> 50):
             mid = (lo + hi) // 2
-            key = _margin_key(mid, m)
-            if key == lo_key or (key != hi_key and margin(*key) >= 0):
-                lo, lo_key = mid, key
+            if margin(*_margin_key(mid, m)) >= 0:
+                lo = mid
             else:
-                hi, hi_key = mid, key
+                hi = mid
         if hi - lo > 1:
             # the same path, once [lo, hi] spans only a few key classes: a mid
             # up to the end of lo's class or from the start of hi's has that
             # end's sign, and once the two classes meet every later mid does,
             # so the path ends at the end of lo's class
-            lo_edge, hi_edge = _key_class_edge(lo_key, m, True), _key_class_edge(hi_key, m, False)
+            lo_edge = _key_class_edge(_margin_key(lo, m), m, True)
+            hi_edge = _key_class_edge(_margin_key(hi, m), m, False)
             while lo_edge + 1 < hi_edge:
                 mid = (lo + hi) // 2
                 if mid <= lo_edge:
@@ -432,6 +431,8 @@ def residue_condition(n: int, r: int, m: int) -> tuple[bool, float]:
     m - r(m+1)/phi(n) of the leading l*log(l) term (negative iff ok)."""
     if n < 3:
         raise InvalidModulusError("the modulus must be at least 3")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     phi = euler_phi(n)
     if not 1 <= r <= phi:
         raise ValueError(f"r must be within 1..phi({n}) = {phi}")

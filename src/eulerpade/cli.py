@@ -160,7 +160,7 @@ def _cmd_limsup(args) -> int:
     else:
         descriptor = ValuationSetDescriptor.all_places()
     c1, c2 = constants_c1_c2(K, alphas, descriptor)
-    values = _limsup_values(K.kappa, len(alphas), c2, descriptor, args.lmax)
+    values = _limsup_values(K, len(alphas), c2, descriptor, args.lmax)
     onset = monotone_decrease_onset(values)
     payload = {
         "c1": c1,

@@ -17,15 +17,11 @@ coefficients that do not all vanish) are each checked by one helper here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_squarefree
 from .errors import AllLambdaZeroError, FieldMismatchError, RepeatedAlphaError, ZeroAlphaError
-
-#: the prime modulus of Python's hash of rational numbers
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 @dataclass(frozen=True)
@@ -128,23 +124,19 @@ class FieldElement:
         return (self._A, self._B, self._c) == common[1:]
 
     def __hash__(self) -> int:
-        """Equal values hash equal: a rational element hashes as the int or
-        Fraction A/c (Python's numeric hash, taken on the ints), an
-        irrational one as its integral form and field."""
+        """Equal values hash equal: a rational element hashes as the Fraction
+        A/c, so as the equal int or Fraction, an irrational one as its
+        integral form and field."""
         A, B, c = self._A, self._B, self._c
         if B:
             return hash((A, B, c, self.d))
-        h = hash(abs(A) * pow(c, -1, _HASH_MODULUS)) if c % _HASH_MODULUS else sys.hash_info.inf
-        h = h if A >= 0 else -h
-        return -2 if h == -1 else h
+        return hash(Fraction(A, c))
 
     def __add__(self, other) -> FieldElement:
         common = self._common(other)
         if common is None:
             return NotImplemented
         d, A, B, c = common
-        if c == self._c:
-            return _reduced(self._A + A, self._B + B, c, d)
         return _reduced(self._A * c + A * self._c, self._B * c + B * self._c, self._c * c, d)
 
     __radd__ = __add__
@@ -157,8 +149,6 @@ class FieldElement:
         if common is None:
             return NotImplemented
         d, A, B, c = common
-        if c == self._c:
-            return _reduced(self._A - A, self._B - B, c, d)
         return _reduced(self._A * c - A * self._c, self._B * c - B * self._c, self._c * c, d)
 
     def __rsub__(self, other) -> FieldElement:
@@ -170,9 +160,7 @@ class FieldElement:
             return NotImplemented
         d, A, B, c = common
         A1, B1 = self._A, self._B
-        if B1 and B:
-            return _reduced(A1 * A + d * B1 * B, A1 * B + B1 * A, self._c * c, d)
-        return _reduced(A1 * A, A1 * B + B1 * A, self._c * c, d)
+        return _reduced(A1 * A + (d or 0) * B1 * B, A1 * B + B1 * A, self._c * c, d)
 
     __rmul__ = __mul__
 
@@ -181,7 +169,7 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         A, B, c = self._A, self._B, self._c
-        n = A * A - self.d * B * B if B else A * A
+        n = A * A - (self.d or 0) * B * B
         if n < 0:
             c, n = -c, -n
         return _reduced(c * A, -c * B, n, self.d)
@@ -270,9 +258,7 @@ def _make(A: int, B: int, c: int, d) -> FieldElement:
 def _reduced(A: int, B: int, c: int, d) -> FieldElement:
     """(A + B*sqrt(d))/c for any c > 0."""
     g = math.gcd(A, B, c)
-    if g != 1:
-        return _make(A // g, B // g, c // g, d)
-    return _make(A, B, c, d)
+    return _make(A // g, B // g, c // g, d)
 
 
 def _as_elem(value, d) -> FieldElement:

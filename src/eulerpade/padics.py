@@ -39,8 +39,9 @@ Horner's rule at one product mod p^N a chunk: on t's exact pair in Z[x],
 x = sqrt(d) or omega = (1 + sqrt(d))/2 when d = 1 mod 4, at inert and
 ramified places, and on t's signed residue at rational and split places
 when that residue is wider than 128 bits, as it is at split places with a
-wider p^N and for huge points.  Other sums go one term, and one product
-mod p^N, at a time.  Only the result becomes a CompletionElement.
+wider p^N and for huge points; with a narrower residue the sum runs on a
+plain int loop.  An algebraic P goes one term, and one pair product mod
+p^N, at a time, at every place.  Only the result becomes a CompletionElement.
 """
 
 from __future__ import annotations
@@ -225,10 +226,8 @@ class CompletionElement:
         return None if w2 is None else Fraction(w2, 2)
 
     def sqrt_coordinates(self) -> tuple[Fraction, Fraction]:
-        """Residue coordinates with respect to (1, sqrt(d)); Q gives (a, 0)."""
-        if self.basis == _INT:
-            return Fraction(self.a), Fraction(0)
-        if self.basis == _SQRT:
+        """Residue coordinates with respect to (1, sqrt(d)); an int residue gives (a, 0)."""
+        if self.basis != _OMEGA:
             return Fraction(self.a), Fraction(self.b)
         return Fraction(self.a) + Fraction(self.b, 2), Fraction(self.b, 2)
 
@@ -438,16 +437,17 @@ def _positive_factors(v: Place, p0, p1, f, step, w2_t: int, target: int, n_max: 
 
 
 def _partial_sum(v: Place, p0, p1, f, step, t: FieldElement, t_c, stop: int, mod: int):
-    """The pair of sum_{n < stop} [P]_n t^n mod `mod` in the place's basis."""
-    if t_c.basis == _INT:
+    """The pair of sum_{n < stop} [P]_n t^n mod `mod` in the place's basis: P
+    over Z on the int loop or a chunk kernel, an algebraic P on the pair loop at every place."""
+    if f is None and t_c.basis == _INT:
         # t's residue is taken signed, so a small t keeps it short
         ta = t_c.a - mod if 2 * t_c.a > mod else t_c.a
         # chunks pay once t is over two words (split places at a wider p^N,
         # huge points); a narrower t is as fast or faster one term at a time
-        if f is None and ta.bit_length() > 128:
+        if ta.bit_length() > 128:
             return _chunked_pair_sum(p0, p1, ta, 0, 0, 0, stop, mod)
         # the multiplier t*P(n-1) that takes term n-1 to term n, stepped by t*p1
-        m, dm = (ta * p0, ta * p1) if f is None else (ta * f.a, ta * step.a)
+        m, dm = ta * p0, ta * p1
         a = sa = 1
         for _ in range(stop - 1):
             a = a * m % mod

@@ -6,7 +6,8 @@ A and B of the numerators, ascending by exponent, trimmed so that the top
 pair is nonzero, with gcd(c, all A, all B) = 1.  The zero polynomial has
 empty tuples, c = 1 and degree -1; over Q every B_i is 0.  Equality and
 hashing compare the ints (and d, when some B_i is not 0), and arithmetic
-and evaluation run on them under the law sqrt(d)^2 = d.  FieldElement
+and evaluation run on them under the law sqrt(d)^2 = d; a product of two
+Polys is one plain convolution of the numerators.  FieldElement
 coefficients are built only when coeffs or [i] is read.  Only what the
 Pade construction needs lives here, and this module alone reads the
 numerators: besides Poly, the expansion of prod_j (beta_j - w)^{l_j}, the
@@ -42,23 +43,15 @@ def _poly(A, B, c: int, d) -> Poly:
 
 
 def _pair_product(A1, B1, A2, B2, d, n: int) -> tuple[list[int], list[int]]:
-    """Numerators of (A1 + B1 sqrt(d))(A2 + B2 sqrt(d)) below t^n, one row
-    of the shorter factor at a time."""
-    if len(A1) > len(A2):
-        A1, B1, A2, B2 = A2, B2, A1, B1
+    """Numerators of (A1 + B1 sqrt(d))(A2 + B2 sqrt(d)) below t^n by the plain
+    convolution: two lists of min(n, len(A1) + len(A2) - 1) ints, untrimmed."""
+    dd = d or 0
     size = min(n, len(A1) + len(A2) - 1)
     A, B = [0] * size, [0] * size
-    irrational = d is not None and any(B2)
     for i, (a, b) in enumerate(zip(A1[:size], B1)):
-        j = min(size, i + len(A2))
-        if b:
-            db = d * b
-            A[i:j] = [x + a * u + db * v for x, u, v in zip(A[i:j], A2, B2)]
-            B[i:j] = [y + a * v + b * u for y, u, v in zip(B[i:j], A2, B2)]
-        elif a:
-            A[i:j] = [x + a * u for x, u in zip(A[i:j], A2)]
-            if irrational:
-                B[i:j] = [y + a * v for y, v in zip(B[i:j], B2)]
+        for j, u, v in zip(range(i, size), A2, B2):
+            A[j] += a * u + dd * b * v
+            B[j] += a * v + b * u
     return A, B
 
 
@@ -151,7 +144,7 @@ class Poly:
             )
             return _poly(A, B, self._c * other._c, d)
         a, b, c = _as_elem(other, d).integral_form()
-        return _poly(*_pair_product(self._A, self._B, (a,), (b,), d, len(self._A)), self._c * c, d)
+        return _poly(*_pair_product((a,), (b,), self._A, self._B, d, len(self._A)), self._c * c, d)
 
     __rmul__ = __mul__
 

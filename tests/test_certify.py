@@ -185,6 +185,23 @@ def test_limsup_stepped_valuations_match_legendre(KQ, K5):
             assert b == expected, (K, alphas, l)
 
 
+def test_limsup_counts_each_excluded_place_of_k_once(KQ, K5):
+    # a repeated place is one place, and a place of another field is no place
+    # of K: constants_c1_c2 skips neither, so the sequence must not count them
+    twice = ValuationSetDescriptor.cofinite(places_above(KQ, 2) * 2)
+    assert limsup_sequence(KQ, [2], twice, 5) == limsup_sequence(
+        KQ, [2], ValuationSetDescriptor.cofinite(places_above(KQ, 2)), 5
+    )
+    foreign = ValuationSetDescriptor.cofinite(places_above(QuadraticField(2), 3))
+    assert constants_c1_c2(K5, [2], foreign) == constants_c1_c2(K5, [2], V_ALL)
+    assert limsup_sequence(K5, [2], foreign, 4) == limsup_sequence(K5, [2], V_ALL, 4)
+    # beside a place of K, a foreign one over the same prime adds nothing
+    mixed = ValuationSetDescriptor.cofinite(places_above(K5, 3) + places_above(KQ, 3))
+    own = ValuationSetDescriptor.cofinite(places_above(K5, 3))
+    assert limsup_sequence(K5, [3], mixed, 6) == limsup_sequence(K5, [3], own, 6)
+    assert limsup_sequence(K5, [3], own, 6) != limsup_sequence(K5, [3], V_ALL, 6)
+
+
 def test_limsup_past_the_work_budget_is_refused(KQ, monkeypatch):
     assert len(limsup_sequence(KQ, [1], V_ALL, 5)) == 5
     # refused before any term is summed: every term calls math.lgamma
@@ -601,6 +618,12 @@ def test_residue_condition_examples():
         residue_condition(2, 1, 1)
     with pytest.raises(ValueError):
         residue_condition(5, 5, 1)
+
+
+@pytest.mark.parametrize("m", [0, -5])
+def test_residue_condition_refuses_m_below_1(m):
+    with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+        residue_condition(3, 2, m)
 
 
 def test_residue_condition_slope_sign_iff():

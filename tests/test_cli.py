@@ -355,6 +355,25 @@ def test_limsup_exclude_p(capsys):
     assert json.loads(out)["log_values"] == limsup_sequence(K, [phi, phi.conjugate()], V, 6)
 
 
+def test_limsup_exclude_p_counts_a_repeated_prime_once(capsys):
+    outs = []
+    for excluded in ["2,2", "2"]:
+        code, out, _ = run_cli(
+            capsys, ["limsup", "--alphas", "2", "--exclude-p", excluded, "--lmax", "5", "--json"]
+        )
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[1]["log_values"][1] == pytest.approx(7.04925, abs=1e-5)
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_residue_refuses_m_below_1(capsys, m):
+    code, out, err = run_cli(capsys, ["residue", "--n", "3", "--r", "2", "--m", m])
+    assert code == 1 and out == ""
+    assert err == f"eulerpade: error: m must be at least 1, got {m}\n"
+
+
 @pytest.mark.parametrize("excluded", ["4", "x"])
 def test_limsup_exclude_p_refuses_a_non_prime(capsys, excluded):
     code, out, _ = run_cli(capsys, ["limsup", "--alphas", "1", "--exclude-p", excluded])

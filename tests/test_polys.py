@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eulerpade.numfield import FieldElement, QuadraticField, _as_elem
-from eulerpade.polys import Poly
+from eulerpade.polys import Poly, _pair_product
 
 from bareiss import _exact_quotient
 
@@ -186,3 +186,35 @@ def test_fields_of_equal_polynomials():
         Poly([1], None) + Poly([root5], 5)
     with pytest.raises(ValueError):
         Poly([i], -1) * Poly([root5], 5)
+
+
+#: numerator pairs (A, B) of factors: empty, zero, constant, with zero coefficients
+PAIR_FACTORS = [
+    ((), ()),
+    ((0,), (0,)),
+    ((3,), (-2,)),
+    ((0, 0, 2), (1, 0, 0)),
+    ((1, -2, 0, 5), (0, 3, 0, -1)),
+    ((7, 0, 0, 0, -1, 4), (0, 0, -3, 0, 0, 0)),
+]
+
+
+def whole_pair_product(A1, B1, A2, B2, d):
+    """All len(A1) + len(A2) - 1 numerator pairs of the product, each a sum of
+    FieldElement products."""
+    coeffs = [FieldElement(0, 0, d)] * max(len(A1) + len(A2) - 1, 0)
+    for i, (a1, b1) in enumerate(zip(A1, B1)):
+        for j, (a2, b2) in enumerate(zip(A2, B2)):
+            coeffs[i + j] += FieldElement(a1, b1, d) * FieldElement(a2, b2, d)
+    return [c.x for c in coeffs], [c.y for c in coeffs]
+
+
+@pytest.mark.parametrize("d", [None, 5, -1])
+def test_pair_product_is_the_whole_product_below_t_n(d):
+    # over Q every B_i is 0
+    factors = [(A, B if d else (0,) * len(B)) for A, B in PAIR_FACTORS]
+    for A1, B1 in factors:
+        for A2, B2 in factors:  # both orders of every pair
+            A, B = whole_pair_product(A1, B1, A2, B2, d)
+            for n in range(len(A) + 3):  # n = 0, below, at and past the whole length
+                assert _pair_product(A1, B1, A2, B2, d, n) == (A[:n], B[:n]), (A1, B1, A2, B2, n)
