@@ -50,11 +50,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a byte sieve; an n over PRIME_SCAN_MAX is refused at once."""
+    """All primes <= n (none below 2) by a byte sieve; an n over PRIME_SCAN_MAX
+    is refused at once."""
     if n > PRIME_SCAN_MAX:
         raise PrecisionCapError(f"n = {n} is over the sieve budget of {PRIME_SCAN_MAX}")
-    if n < 2:
-        return []
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[0:2] = b"\x00\x00"
     p = 2
@@ -135,7 +134,7 @@ def _prime_power(n: int, f: int) -> tuple[int, int] | None:
         estimate = 2.0 ** (log2_n / k)
         if estimate < 2**40 and abs(estimate - round(estimate)) > 0.25:
             continue
-        r = math.isqrt(n) if k == 2 else _integer_root(n, k)
+        r = _integer_root(n, k)
         if r**k == n:
             return (r, k) if r < f * f or r < _MR_EXACT_BELOW and is_prime(r) else None
     return None
@@ -216,8 +215,6 @@ def legendre_symbol(a: int, p: int) -> int:
 def _tonelli_shanks(a: int, p: int) -> int:
     """A square root of a mod an odd prime p; requires (a|p) = 1."""
     a %= p
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # write p-1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -252,8 +249,6 @@ def canonical_sqrt_mod(d: int, p: int, n: int) -> int:
     if p == 2:
         if d % 8 != 1:
             raise NotSplitError(f"{d} must be 1 mod 8 for a 2-adic square root")
-        if n <= 2:
-            return 1 % (1 << n)
         # lift one level past n and reduce: of the four roots mod 2^(n+1),
         # the two congruent to 1 mod 4 agree mod 2^n, so the reduction is
         # the unique 2-adic root r = 1 mod 4, consistent across precisions

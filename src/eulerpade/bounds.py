@@ -73,13 +73,6 @@ class ValuationSetDescriptor:
 # growth constants
 
 
-def _arch_value_table(K: QuadraticField, elems) -> list[list[float]]:
-    """Rows: Archimedean places of K; columns: normalized values of elems."""
-    per_elem = [arch_abs_normalized(K, e) for e in elems]
-    n_places = len(per_elem[0])
-    return [[per_elem[j][i][1] for j in range(len(elems))] for i in range(n_places)]
-
-
 def constants_c1_c2(
     K: QuadraticField, alpha_vec, V: ValuationSetDescriptor
 ) -> tuple[float, float]:
@@ -95,10 +88,11 @@ def constants_c1_c2(
     m = len(alphas)
     try:
         c1 = 1.0
-        for row in _arch_value_table(K, alphas):
-            big = max(1.0, max(row))
+        # one row of normalized values of the alphas for each Archimedean place
+        for row in zip(*(arch_abs_normalized(K, a) for a in alphas)):
+            big = max(1.0, max(val for _, val in row))
             c1 *= big**m
-            for val in row:
+            for _, val in row:
                 c1 *= val + big
     except OverflowError:
         c1 = math.inf
@@ -126,7 +120,8 @@ def limsup_sequence(
 
     With V cofinite the product over V is rewritten through the product
     formula: the full product over all finite places is 1/((ml)! l!), and each
-    excluded place of K gives back its exact factorial valuation once.  The
+    excluded place that places_above(K, p) lists gives back its exact
+    factorial valuation once (InvalidPrimeError if p is not prime).  The
     sequence is diagnostic evidence for the decay condition, not a proof.
     """
     if V.kind == "residue_classes":
@@ -148,9 +143,9 @@ def _limsup_values(
     if l_max > LIMSUP_MAX_L:
         raise PrecisionCapError(f"l_max {l_max} is over the work budget of {LIMSUP_MAX_L}")
     out, log_c2, kappa = [], math.log(c2), K.kappa
-    # for each excluded place of K (its d is K's): p, kappa_v, log p and v_p((ml)!) + v_p(l!),
-    # which each step of l raises by v_p of m*l - m + 1, ..., m*l and of l
-    excluded = [[v.p, v.kappa_v, math.log(v.p), 0] for v in V.excluded if v.d == K.d]
+    # for each excluded place places_above(K, p) lists, in V's order: p, kappa_v, log p and
+    # v_p((ml)!) + v_p(l!), which each step of l raises by v_p of m*l - m + 1, ..., m*l and of l
+    excluded = [[v.p, v.kappa_v, math.log(v.p), 0] for v in V.excluded if v in places_above(K, v.p)]
     for l in range(1, l_max + 1):
         a_l = (
             l * log_c2

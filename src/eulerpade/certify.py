@@ -77,7 +77,8 @@ VERIFY_EXTRA_DIGITS = 4
 
 def _claimable_precision(precision) -> bool:
     """Whether a nonzero claim may carry this precision: an int (not a bool)
-    that verify_certificate can raise by VERIFY_EXTRA_DIGITS within the cap."""
+    that verify_certificate can raise by VERIFY_EXTRA_DIGITS within the cap;
+    the scan's precision ladder ends at the last rung that is one."""
     return type(precision) is int and 1 <= precision <= PRECISION_CAP - VERIFY_EXTRA_DIGITS
 
 
@@ -208,10 +209,12 @@ def certify_nonvanishing(
     does not vanish.
 
     Scan order is deterministic: ascending primes, places in the canonical
-    order, precision doubling 4, 8, ..., n_max.  The first residue whose
-    valuation drops strictly below both the precision and the tail bound is
-    re-verified at four more digits and returned; running out of places
-    yields an "undetermined" certificate, never a claim of vanishing.  Each
+    order, precision doubling 4, 8, ... up to n_max, and never to a rung no
+    claim could carry (_claimable_precision: 2048 at most).  The first
+    residue whose valuation drops strictly below both the precision and the
+    tail bound is re-verified at four more digits and returned; running out
+    of places yields an "undetermined" certificate with precision n_max,
+    never a claim of vanishing.  Each
     rung decides on ints, in half-units: twice the valuation against twice
     the precision and, cross-multiplied, twice the tail bound.  The
     record's Fractions are built only for a claim.
@@ -219,18 +222,13 @@ def certify_nonvanishing(
     lambdas, alphas = _validated_form(lambda_vec, alpha_vec, K.d)
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    for p in prime_range(max(2, p_min), p_max):
+    for p in prime_range(p_min, p_max):
         for v in places_above(K, p):
             n = 4
-            while n <= n_max:
+            while n <= n_max and _claimable_precision(n):
                 value, tail = linear_form_value(lambdas, alphas, v, n)
                 w2 = value.half_valuation()  # w_v of the residue in half-units
                 if w2 is not None and w2 < 2 * n and w2 * tail.denominator < 2 * tail.numerator:
-                    if not _claimable_precision(n):
-                        raise PrecisionCapError(
-                            f"a claim at precision {n} cannot be re-verified "
-                            f"within the cap {PRECISION_CAP}"
-                        )
                     cert = Certificate(
                         K.d, lambdas, alphas, v, n, Fraction(w2, 2), tail, "nonzero"
                     )

@@ -190,7 +190,7 @@ class PadeSystem:
             if n is not None and n < start + lj:
                 raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
             n = (series - self.B[j]).order()
-            orders.append(cutoff if n is None else min(n, cutoff))
+            orders.append(cutoff if n is None else n)
         return orders
 
     def to_json(self) -> dict:

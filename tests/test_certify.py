@@ -114,6 +114,25 @@ def _c2_over_union_of_norms(K, alphas, V):
     return c1, c2
 
 
+# (d, alphas, (c1, c2)) over real, imaginary and rational fields
+_C1_C2_DOUBLES = [
+    (5, ["1/2,1/2", "1/2,-1/2", "3"], (18541.566873551765, 18541.566873551765)),
+    (5, ["2", "1,1", "-3/2,1/2"], (18456.004400003912, 18456.004400003912)),
+    (2, ["0,1", "2,2", "-3,1"], (210743.7567427417, 210743.7567427417)),
+    (-1, ["1,1", "2", "0,-3"], (3575.5129855222067, 3575.5129855222067)),
+    (-1, ["1,1", "0,2", "-5"], (56124.36867076458, 56124.36867076458)),
+    (None, ["2", "-4", "6"], (207360.0, 103680.0)),
+    (None, ["7"], (98.0, 14.0)),
+]
+
+
+@pytest.mark.parametrize("d, alphas, doubles", _C1_C2_DOUBLES)
+def test_c1_c2_doubles_are_frozen(d, alphas, doubles):
+    # the same doubles, bit for bit
+    K = QuadraticField(d)
+    assert constants_c1_c2(K, [K.parse(a) for a in alphas], V_ALL) == doubles
+
+
 def test_c2_matches_union_of_norms_reference():
     # factoring only the gcd of the norms drops factors of exactly 1.0
     rng = random.Random(43)
@@ -200,6 +219,22 @@ def test_limsup_counts_each_excluded_place_of_k_once(KQ, K5):
     own = ValuationSetDescriptor.cofinite(places_above(K5, 3))
     assert limsup_sequence(K5, [3], mixed, 6) == limsup_sequence(K5, [3], own, 6)
     assert limsup_sequence(K5, [3], own, 6) != limsup_sequence(K5, [3], V_ALL, 6)
+
+
+def test_limsup_counts_only_the_excluded_places_places_above_lists(K5):
+    # 3 is inert in Q(sqrt 5): a hand-built split place over it is no place
+    # of K5, as constants_c1_c2 already holds, so it must not move the sequence
+    hand_built = ValuationSetDescriptor.cofinite([Place(3, "split_1", 5)])
+    assert constants_c1_c2(K5, [3], hand_built) == constants_c1_c2(K5, [3], V_ALL)
+    assert limsup_sequence(K5, [3], hand_built, 3) == limsup_sequence(K5, [3], V_ALL, 3)
+    assert limsup_sequence(K5, [3], V_ALL, 3)[2] == pytest.approx(9.8218, abs=1e-4)
+    # beside it, the inert place of K5 over 3 counts as it does alone
+    inert = ValuationSetDescriptor.cofinite(places_above(K5, 3))
+    both = ValuationSetDescriptor.cofinite([Place(3, "split_1", 5), *places_above(K5, 3)])
+    assert limsup_sequence(K5, [3], both, 6) == limsup_sequence(K5, [3], inert, 6)
+    # a place over a p that is not prime is refused by name
+    with pytest.raises(InvalidPrimeError, match="^9 is not prime$"):
+        limsup_sequence(K5, [3], ValuationSetDescriptor.cofinite([Place(9, "inert", 5)]), 3)
 
 
 def test_limsup_past_the_work_budget_is_refused(KQ, monkeypatch):
@@ -744,6 +779,34 @@ def test_certify_undetermined_paths(KQ):
     cert3 = certify_nonvanishing(KQ, [64, -64], [1], 2, 2, n_max=64)
     assert cert3.status == "nonzero"
     assert cert3.partial_valuation == 6
+
+
+def test_a_larger_n_max_keeps_the_record():
+    # F(1) - S at rational@5 first certifies at precision 2048, the last rung
+    # a claim can carry, and a larger n_max gives the same record
+    S = sum(math.factorial(n) for n in range(4300))
+    certs = [
+        certify_nonvanishing(QuadraticField(), [-S, 1], [1], 2, 50, n_max)
+        for n_max in (2048, 4096, 8192)
+    ]
+    assert (certs[0].status, str(certs[0].place), certs[0].precision) == ("nonzero", "rational@5", 2048)
+    assert certs[1] == certs[0] and certs[2] == certs[0]
+    assert verify_certificate(certs[2])
+
+
+def test_the_ladder_stops_at_the_last_claimable_rung(KQ, monkeypatch):
+    # with every valuation left open, n_max = 8192 sums no rung above 2048,
+    # and the undetermined record still names n_max
+    asked = []
+
+    def open_valuation(lambdas, alphas, v, n):
+        asked.append(n)
+        return _residue_with(None), Fraction(n)
+
+    monkeypatch.setattr(certify, "linear_form_value", open_valuation)
+    cert = certify_nonvanishing(KQ, [1, 1], [1], 2, 2, n_max=8192)
+    assert asked == [2**k for k in range(2, 12)]
+    assert (cert.status, cert.precision) == ("undetermined", 8192)
 
 
 def _residue_with(w2):

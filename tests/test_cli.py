@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,6 +151,21 @@ def test_certify_undetermined_exit_code(capsys):
     )
     assert code == 2
     assert json.loads(out)["status"] == "undetermined"
+
+
+def test_a_larger_prec_keeps_the_certificate(capsys):
+    # L + F(1) for a 1206-digit L certifies at rational@3, precision 4; a
+    # --prec past the last claimable rung (2048) gives the same record
+    L = -(sum(math.factorial(n) for n in range(2100)) % 2**4000)
+    outs = []
+    for prec in ("64", "2048", "4096", "8192"):
+        for flag in ([], ["--json"]):
+            argv = ["certify", f"--lambdas={L};1", "--alphas", "1", "--prec", prec, *flag]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+    assert outs[0] == "nonzero at rational@3 (precision 4): partial valuation 0 < tail bound 4\n"
+    assert outs[0::2] == [outs[0]] * 4 and outs[1::2] == [outs[1]] * 4
 
 
 def test_evenfact(capsys):

@@ -85,6 +85,37 @@ def test_two_adic_sqrt_chain_consistency():
             previous = r
 
 
+def test_two_adic_sqrt_is_1_below_three_digits():
+    # mod 2 and mod 4 the root congruent to 1 mod 4 is 1 itself
+    from eulerpade.arith import canonical_sqrt_mod
+
+    for d in (1, 9, 17, -7, -15, 41, 8 * 10**30 + 1):
+        for n in (1, 2):
+            assert canonical_sqrt_mod(d, 2, n) == 1
+
+
+def test_sqrt_mod_p_3_mod_4_is_the_lift_of_the_smaller_power_root():
+    # for p = 3 mod 4, r = d^((p+1)/4) is a root mod p; the canonical root
+    # is min(r, p - r) lifted one digit at a time
+    from eulerpade.arith import canonical_sqrt_mod
+
+    def lifted(d, p, n):
+        r = pow(d, (p + 1) // 4, p)
+        r = min(r, p - r)
+        for k in range(1, n):
+            # the next digit t solves (r + t p^k)^2 = d mod p^(k+1)
+            t = (d - r * r) // p**k * pow(2 * r, -1, p) % p
+            r += t * p**k
+        return r
+
+    rng = random.Random(5)
+    for p in (q for q in primes_upto(2000) if q % 4 == 3):
+        squares = [x * x % p for x in rng.sample(range(1, p), min(p - 1, 4))]
+        for d in {*squares, squares[0] - p, squares[-1] + 7 * p}:
+            for n in (1, 2, 5):
+                assert canonical_sqrt_mod(d, p, n) == lifted(d, p, n), (d, p, n)
+
+
 def test_euler_eval_frozen_values(KQ):
     (p2,) = places_above(KQ, 2)
     cv = euler_eval_certified(p2, 1, 2)
