@@ -42,6 +42,7 @@ from .polys import (
     Poly,
     _cleared_leading_column,
     _factorial_series_product,
+    _first_difference,
     _leading_minor,
     _root_power_product,
 )
@@ -175,9 +176,9 @@ class PadeSystem:
     def order_check(self, cutoff: int) -> list[int]:
         """First nonzero exponent of B_0(t) G(alpha_j t) - B_j(t) below the cutoff, per column.
 
-        Expands B_0 times the exactly truncated series and compares it with
-        B_j.  The product-series coefficients must vanish on the band
-        L+mu <= n < L+mu+l_j; a violation raises RuntimeError.
+        Expands B_0 times the series below t^cutoff, which must vanish on the
+        band L+mu <= n < L+mu+l_j (else RuntimeError), and compares it with
+        B_j on the numerators (polys._first_difference).
         """
         start = self.sigma.L + self.mu
         if cutoff < start + max(self.l_vec) + 5:
@@ -185,11 +186,11 @@ class PadeSystem:
         _check_budget(self.m, cutoff)
         orders = []
         for j, (point, lj) in enumerate(zip(self.alpha, self.l_vec), start=1):
-            series = _factorial_series_product(self.B[0], (self.p0, self.p1), point, cutoff + 1)
+            series = _factorial_series_product(self.B[0], (self.p0, self.p1), point, cutoff)
             n = series.order(start)
             if n is not None and n < start + lj:
                 raise RuntimeError(f"vanishing band violated at n={n}, j={j}")
-            n = (series - self.B[j]).order()
+            n = _first_difference(series, self.B[j])
             orders.append(cutoff if n is None else n)
         return orders
 

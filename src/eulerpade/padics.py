@@ -216,14 +216,9 @@ class CompletionElement:
         return CompletionElement(self.place, m, self.a % mod, self.b % mod)
 
     def half_valuation(self) -> int | None:
-        """2 * valuation_lower(), an int: w_v in half-units."""
-        return _residue_w2(self.place, self.a, self.b, self.modulus)
-
-    def valuation_lower(self) -> Fraction | None:
-        """The exact w_v of any element with this residue, when the residue
+        """2 w_v, an int, of any element with this residue, when the residue
         pins it down; None when it leaves it undetermined (see _residue_w2)."""
-        w2 = self.half_valuation()
-        return None if w2 is None else Fraction(w2, 2)
+        return _residue_w2(self.place, self.a, self.b, self.modulus)
 
     def sqrt_coordinates(self) -> tuple[Fraction, Fraction]:
         """Residue coordinates with respect to (1, sqrt(d)); an int residue gives (a, 0)."""

@@ -3,26 +3,24 @@
 A polynomial sum_i (A_i + B_i sqrt(d))/c t^i is stored the way a
 FieldElement stores one number: one denominator c > 0 and the int tuples
 A and B of the numerators, ascending by exponent, trimmed so that the top
-pair is nonzero, with gcd(c, all A, all B) = 1.  The zero polynomial has
-empty tuples, c = 1 and degree -1; over Q every B_i is 0.  Equality and
-hashing compare the ints (and d, when some B_i is not 0), and arithmetic
-and evaluation run on them under the law sqrt(d)^2 = d; a product of two
-Polys is one plain convolution of the numerators.  FieldElement
-coefficients are built only when coeffs or [i] is read.  Only what the
-Pade construction needs lives here, and this module alone reads the
-numerators: besides Poly, the expansion of prod_j (beta_j - w)^{l_j}, the
-Pade column C_0 built on it with the clearing factor [P]_{L+mu}, any
-window of coefficients of the product of a polynomial with the series
-sum_n [P]_n (x t)^n, each by Horner's rule, and the scalar leading minor
-that decides the Pade determinant.
+pair is nonzero, with gcd(c, all A, all B) = 1; zero has empty tuples, c = 1
+and degree -1, and over Q every B_i is 0.  Poly is a value record built from
+a coefficient list, not a ring: coeffs (FieldElements, built on the first
+read), degree, order, [i], == and hash (on the ints, and d when some B_i is
+not 0), evaluation, to_json and repr.  Its one operation, the product by a
+scalar, stays for pade_generic's columns (and the benchmark's tracer wraps
+Poly.__mul__ by name).  This module alone reads the numerators: it also
+holds _first_difference, the order check's comparison of two Polys, and the
+Pade kernels: prod_j (beta_j - w)^{l_j} expanded, the column C_0 with the
+clearing factor [P]_{L+mu}, any window of the product of a polynomial with
+sum_n [P]_n (x t)^n by Horner's rule, and the leading minor that decides
+the Pade determinant.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 
-from .errors import FieldMismatchError
 from .numfield import FieldElement, _as_elem, _make, _reduced
 
 _new = object.__new__
@@ -42,19 +40,6 @@ def _poly(A, B, c: int, d) -> Poly:
     return poly
 
 
-def _pair_product(A1, B1, A2, B2, d, n: int) -> tuple[list[int], list[int]]:
-    """Numerators of (A1 + B1 sqrt(d))(A2 + B2 sqrt(d)) below t^n by the plain
-    convolution: two lists of min(n, len(A1) + len(A2) - 1) ints, untrimmed."""
-    dd = d or 0
-    size = min(n, len(A1) + len(A2) - 1)
-    A, B = [0] * size, [0] * size
-    for i, (a, b) in enumerate(zip(A1[:size], B1)):
-        for j, u, v in zip(range(i, size), A2, B2):
-            A[j] += a * u + dd * b * v
-            B[j] += a * v + b * u
-    return A, B
-
-
 def _pair_mul(x, y, u, v, dd):
     """(x + y sqrt(d))(u + v sqrt(d)) as an int pair, with dd = d (0 over Q)."""
     return x * u + dd * y * v, x * v + y * u
@@ -69,14 +54,6 @@ class Poly:
         forms = [_as_elem(x, d).integral_form() for x in coeffs]
         c = math.lcm(*(k for _, _, k in forms))
         return _poly([a * (c // k) for a, _, k in forms], [b * (c // k) for _, b, k in forms], c, d)
-
-    @classmethod
-    def zero(cls, d) -> Poly:
-        return _poly((), (), 1, d)
-
-    @classmethod
-    def monomial(cls, coeff, exponent: int, d) -> Poly:
-        return cls([0] * exponent + [coeff], d)
 
     def __reduce__(self):
         return _poly, (self._A, self._B, self._c, self.d)
@@ -114,37 +91,12 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self._A, self._B, self._c))
 
-    def _combine(self, other: Poly, sign: int) -> Poly:
-        """self + sign * other, over the lcm of the two denominators."""
-        if other.d != self.d and any(other._B):
-            raise FieldMismatchError("element belongs to a different field")
-        c1, c2 = self._c, other._c
-        g = math.gcd(c1, c2)
-        s1, s2 = c2 // g, sign * (c1 // g)
-        A = [x * s1 + y * s2 for x, y in zip_longest(self._A, other._A, fillvalue=0)]
-        B = [x * s1 + y * s2 for x, y in zip_longest(self._B, other._B, fillvalue=0)]
-        return _poly(A, B, c1 * s1, self.d)
-
-    def __add__(self, other: Poly) -> Poly:
-        return self._combine(other, 1)
-
-    def __neg__(self) -> Poly:
-        return _poly([-a for a in self._A], [-b for b in self._B], self._c, self.d)
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self._combine(other, -1)
-
-    def __mul__(self, other) -> Poly:
-        d = self.d
-        if isinstance(other, Poly):
-            if other.d != d and any(other._B):
-                raise FieldMismatchError("element belongs to a different field")
-            A, B = _pair_product(
-                self._A, self._B, other._A, other._B, d, len(self._A) + len(other._A) - 1
-            )
-            return _poly(A, B, self._c * other._c, d)
-        a, b, c = _as_elem(other, d).integral_form()
-        return _poly(*_pair_product((a,), (b,), self._A, self._B, d, len(self._A)), self._c * c, d)
+    def __mul__(self, scalar) -> Poly:
+        """The product by a scalar; pade_generic scales its columns with it."""
+        a, b, c = _as_elem(scalar, self.d).integral_form()
+        dd = self.d or 0
+        pairs = [_pair_mul(x, y, a, b, dd) for x, y in zip(self._A, self._B)]
+        return _poly([x for x, _ in pairs], [y for _, y in pairs], self._c * c, self.d)
 
     __rmul__ = __mul__
 
@@ -168,6 +120,18 @@ class Poly:
             return "Poly(0)"
         terms = [f"({c})t^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _first_difference(x: Poly, y: Poly) -> int | None:
+    """The least exponent at which two Polys over one field differ, or None:
+    the numerators are compared cross-multiplied by the two denominators."""
+    if len(x._A) < len(y._A):
+        x, y = y, x
+    r, s = y._c, x._c
+    for i, (a, b, u, v) in enumerate(zip(x._A, x._B, y._A, y._B)):
+        if a * r != u * s or b * r != v * s:
+            return i
+    return x.order(len(y._A))
 
 
 def _linear_pairs(p, d) -> tuple[tuple[int, int], tuple[int, int], int]:

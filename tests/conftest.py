@@ -5,6 +5,7 @@ import pytest
 
 from eulerpade.numfield import FieldElement, QuadraticField
 from eulerpade.padics import CompletionElement
+from eulerpade.polys import Poly
 
 
 @pytest.fixture
@@ -64,6 +65,13 @@ def sigma_by_linear_factors(l_vec, beta, one=1) -> list:
         for _ in range(lj):
             sigma = [b * c - prev for c, prev in zip(sigma + [0], [0] + sigma)]
     return sigma
+
+
+def plus_monomial(poly: Poly, coeff, n: int) -> Poly:
+    """poly + coeff t^n, built from its coefficient list."""
+    coeffs = list(poly.coeffs) + [0] * (n + 1 - len(poly.coeffs))
+    coeffs[n] += coeff
+    return Poly(coeffs, poly.d)
 
 
 def residue_add(x: CompletionElement, y: CompletionElement, sign: int = 1) -> CompletionElement:

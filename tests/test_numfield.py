@@ -47,15 +47,15 @@ def test_field_mismatch():
 
 
 def test_every_field_mix_raises_field_mismatch():
-    # coercion and polynomial arithmetic refuse irrational elements of
-    # another field with the same error as FieldElement arithmetic
+    # coercion, Poly construction and Poly's scalar product refuse irrational
+    # elements of another field with the same error as FieldElement arithmetic
     root5, root2 = QuadraticField(5).sqrt_gen(), QuadraticField(2).sqrt_gen()
     with pytest.raises(FieldMismatchError, match="different field"):
         _as_elem(root5, 2)
     with pytest.raises(FieldMismatchError, match="different field"):
-        Poly([1], 2) + Poly([root5], 5)
+        Poly([1, root5], 2)
     with pytest.raises(FieldMismatchError, match="different field"):
-        Poly([root2], 2) * Poly([1, root5], 5)
+        Poly([1, root5], 5) * root2
     with pytest.raises(FieldMismatchError, match="different field"):
         Poly([root2], 2) * root5
     # rational elements of another field still carry over

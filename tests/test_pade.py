@@ -32,8 +32,8 @@ from eulerpade.pade import (
 from eulerpade.places import factorial_valuation, places_above, valuation
 from eulerpade.polys import Poly
 
-from bareiss import _poly_det
-from conftest import sigma_by_linear_factors
+from bareiss import RefPoly, _poly_det
+from conftest import plus_monomial, sigma_by_linear_factors
 
 
 def test_sigma_examples():
@@ -139,10 +139,10 @@ def test_pade_generic_validation(K5):
 def test_order_check_compares_the_whole_prefix():
     # a windowed comparison near the order target would miss both edits
     s = pade_construct(2, 1, 1, [1, 2])
-    raised = dataclasses.replace(s, B=(s.B[0] + Poly([1], s.d),) + s.B[1:])
+    raised = dataclasses.replace(s, B=(plus_monomial(s.B[0], 1, 0),) + s.B[1:])
     with pytest.raises(RuntimeError, match=r"^vanishing band violated at n=3, j=1$"):
         raised.order_check(s.order_target + 5)
-    shifted = dataclasses.replace(s, B=(s.B[0], s.B[1] + Poly([0, 1], s.d), s.B[2]))
+    shifted = dataclasses.replace(s, B=(s.B[0], plus_monomial(s.B[1], 1, 1), s.B[2]))
     assert shifted.order_check(s.order_target + 5) == [1, 4]
     assert s.order_check(s.order_target + 5) == [4, 4]
 
@@ -327,8 +327,8 @@ def test_determinant_minimal():
     # direct 2x2 oracle: B matrix rows mu = 0, 1 give (t-1)(t-1) - (-1)(2t-1) = t^2
     s0 = pade_construct(1, 1, 0, [1])
     s1 = pade_construct(1, 1, 1, [1])
-    det = s0.B[0] * s1.B[1] - s0.B[1] * s1.B[0]
-    assert det == Poly([0, 0, 1], None)
+    (p, q), (r, s) = [[RefPoly(poly.coeffs, None) for poly in system.B] for system in (s0, s1)]
+    assert (p * s - q * r).coeffs == (0, 0, 1)
     assert b == 1
 
 
@@ -462,16 +462,19 @@ def test_pade_determinant_budget_boundary(m, l, count):
 
 
 def _cofactor_det(matrix, d):
-    """The determinant by recursive cofactor expansion along the first row."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = Poly.zero(d)
-    for col in range(n):
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = matrix[0][col] * _cofactor_det(minor, d)
-        acc = acc + term if col % 2 == 0 else acc - term
-    return acc
+    """The determinant of a matrix of Polys or RefPolys, as a Poly, by
+    recursive cofactor expansion along the first row on RefPolys."""
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = RefPoly([], d)
+        for col, entry in enumerate(rows[0]):
+            term = entry * det([row[:col] + row[col + 1 :] for row in rows[1:]])
+            acc = acc + term if col % 2 == 0 else acc - term
+        return acc
+
+    return Poly(det([[RefPoly(entry.coeffs, d) for entry in row] for row in matrix]).coeffs, d)
 
 
 def _random_poly(rng, K, max_degree=3):
@@ -479,7 +482,7 @@ def _random_poly(rng, K, max_degree=3):
         y = Fraction(rng.randint(-5, 5), rng.choice((1, 2))) if K.d is not None else 0
         return K(Fraction(rng.randint(-5, 5), rng.choice((1, 2))), y)
 
-    return Poly([coeff() for _ in range(rng.randint(0, max_degree + 1))], K.d)
+    return RefPoly([coeff() for _ in range(rng.randint(0, max_degree + 1))], K.d)
 
 
 def _random_matrix(rng, K, n):
@@ -490,19 +493,19 @@ def _random_matrix(rng, K, n):
 def test_bareiss_matches_cofactor_expansion(d):
     K = QuadraticField(d)
     rng = random.Random(f"bareiss {d}")
-    t = Poly([0, 1], d)
+    t = RefPoly([0, 1], d)
     for n in range(1, 6):
         for _ in range(6):
             matrix = _random_matrix(rng, K, n)
             assert _poly_det(matrix, d) == _cofactor_det(matrix, d)
         # a zero top-left pivot forces a row swap at the first step
         matrix = _random_matrix(rng, K, n)
-        matrix[0][0] = Poly.zero(d)
+        matrix[0][0] = RefPoly([], d)
         assert _poly_det(matrix, d) == _cofactor_det(matrix, d)
         # a zero first column leaves no pivot at all
         matrix = _random_matrix(rng, K, n)
         for row in matrix:
-            row[0] = Poly.zero(d)
+            row[0] = RefPoly([], d)
         assert not _poly_det(matrix, d) and not _cofactor_det(matrix, d)
         if n < 3:
             continue
@@ -512,7 +515,7 @@ def test_bareiss_matches_cofactor_expansion(d):
             matrix = _random_matrix(rng, K, n)
             matrix[1][0], matrix[1][1] = t * matrix[0][0], t * matrix[0][1]
             det = _cofactor_det(matrix, d)
-            if matrix[0][0] and det:
+            if matrix[0][0].coeffs and det:
                 break
         assert _poly_det(matrix, d) == det
         # the last row a combination of the first two: determinant 0
@@ -540,17 +543,17 @@ def test_leading_minor_is_the_top_coefficient_of_the_determinant(d):
             tops = [rng.randint(0, 3) for _ in range(n)]
             matrix = [[Poly([coeff() for _ in range(top + 1)], d) for _ in range(n)] for top in tops]
             if trial == 1:  # the first pivot is 0
-                matrix[0][0] = Poly.zero(d)
+                matrix[0][0] = Poly([], d)
             if trial == 2:  # no pivot at all in the first column
                 for row in matrix:
-                    row[0] = Poly.zero(d)
+                    row[0] = Poly([], d)
             if trial == 3:  # a row below its cap
                 tops[-1] += 1
             if trial >= 4 and n > 2:  # the second pivot is 0: row 1 leads with twice row 0
                 top = tops[0] = tops[1] = max(tops[0], tops[1])
                 for k in (0, 1):
                     a, b = matrix[0][k], matrix[1][k]
-                    matrix[1][k] = b + Poly.monomial(2 * a[top] - b[top], top, d)
+                    matrix[1][k] = plus_monomial(b, 2 * a[top] - b[top], top)
             det = _cofactor_det(matrix, d)
             assert polys._leading_minor(matrix, tops) == det[sum(tops)]
             assert det.degree <= sum(tops)
@@ -659,8 +662,8 @@ def test_remainder_valuation_bound(K5):
                     )
                     precision = int(lower) + 6
                     s_val = remainder_at_unity(system, v, j, precision)
-                    got = s_val.valuation_lower()
+                    got = s_val.half_valuation()
                     if got is None:
                         assert precision >= lower
                     else:
-                        assert got >= lower
+                        assert got >= 2 * lower

@@ -340,8 +340,9 @@ def test_reduction_is_ring_homomorphism(K5, Km1, KQ):
             assert residue_add(ra, rb, -1) == CompletionElement.from_field_element(v, 10, a - b)
 
 
-def test_completion_valuation_lower(K5, Km1, KQ):
-    # the residue-read valuation agrees with the exact one on nonzero residues
+def test_completion_half_valuation(K5, Km1, KQ):
+    # the residue-read valuation, in half-units, agrees with the exact one on
+    # nonzero residues
     rng = random.Random(9)
     from conftest import random_integral_element
 
@@ -358,27 +359,27 @@ def test_completion_valuation_lower(K5, Km1, KQ):
         for _ in range(50):
             a = random_integral_element(rng, K, -40, 40)
             exact = valuation(v, a)
-            got = CompletionElement.from_field_element(v, 12, a).valuation_lower()
+            got = CompletionElement.from_field_element(v, 12, a).half_valuation()
             if got is None:
                 assert exact >= 12
             else:
-                assert got == exact
+                assert got == 2 * exact
     # 11 in the denominator, integral at split_1 only
     split_1, split_2 = places_above(K5, 11)
     a = K5(Fraction(48, 11), Fraction(-1, 11))
     assert valuation(split_1, a) == 1 and valuation(split_2, a) == -1
-    assert CompletionElement.from_field_element(split_1, 12, a).valuation_lower() == 1
+    assert CompletionElement.from_field_element(split_1, 12, a).half_valuation() == 2
     with pytest.raises(ValueError):
         CompletionElement.from_field_element(split_2, 12, a)
     # 9 is 0 mod 3^2 at the inert place: a zero pair says nothing
     (inert3,) = places_above(K5, 3)
-    assert CompletionElement.from_field_element(inert3, 2, K5(9)).valuation_lower() is None
+    assert CompletionElement.from_field_element(inert3, 2, K5(9)).half_valuation() is None
     # at ramified 2 with d = 3 mod 4 the value is read off the norm mod 2^N
     K3 = QuadraticField(3)
     (ram2,) = places_above(K3, 2)
     x = K3(2, 2)
-    w = CompletionElement.from_field_element(ram2, 2, x).valuation_lower()
-    assert w is None or w == valuation(ram2, x) == Fraction(3, 2)
+    w2 = CompletionElement.from_field_element(ram2, 2, x).half_valuation()
+    assert w2 is None or w2 == 2 * valuation(ram2, x) == 3
 
 
 @pytest.mark.parametrize(
