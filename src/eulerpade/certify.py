@@ -13,6 +13,7 @@ reported as "undetermined", never as vanishing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .numfield import (
     FieldElement,
     QuadraticField,
     _algebraic_integer,
+    _parsed,
     _validated_alphas,
     _validated_lambdas,
 )
@@ -82,13 +84,13 @@ def _claimable_precision(precision) -> bool:
     return type(precision) is int and 1 <= precision <= PRECISION_CAP - VERIFY_EXTRA_DIGITS
 
 
-def _parsed_list(obj: dict, key: str, K: QuadraticField) -> list[FieldElement]:
-    """obj[key], a list of strings, parsed as elements of K; a refusal names the key."""
+def _parsed_list(obj: dict, key: str, d) -> tuple[FieldElement, ...]:
+    """obj[key], a list of strings, parsed as elements of Q(sqrt(d)); a refusal names the key."""
     value = obj[key]
     if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise ValueError(f"{key} must be a list of strings, got {value!r}")
     try:
-        return [K.parse(s) for s in value]
+        return tuple(_parsed(s, d) for s in value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
@@ -123,18 +125,60 @@ def _validated_form(lambda_vec, alpha_vec, d) -> tuple[tuple[FieldElement, ...],
     return lambdas, alphas
 
 
+_field = functools.lru_cache(maxsize=64)(QuadraticField)  # memoized: building a field factors d
+
+
+def _check_record(cert: Certificate) -> None:
+    """The rules of a certificate, shared by the reader and the check: a known
+    status; for a nonzero claim, every claim field, a claimable precision and
+    int or Fraction valuations; an int precision; a field_d QuadraticField
+    reads; tuples of m + 1 lambdas and m alphas, all algebraic integers; a
+    place places_above lists.  Refuses with ValueError (TypeError for an
+    entry that is no number)."""
+    status, precision = cert.status, cert.precision
+    nonzero = status == "nonzero"
+    if not nonzero and status != "undetermined":
+        raise ValueError(f"unknown certificate status {status!r}")
+    pv, tb = cert.partial_valuation, cert.tail_valuation_bound
+    if nonzero and (cert.place is None or precision is None or pv is None or tb is None):
+        claim = ("place", "precision", "partial_valuation", "tail_valuation_bound")
+        missing = [key for key in claim if getattr(cert, key) is None]
+        raise ValueError(f"a nonzero certificate needs {', '.join(missing)}")
+    if precision is not None and type(precision) is not int:
+        raise ValueError(f"precision must be an int, got {precision!r}")
+    if nonzero:
+        if not _claimable_precision(precision):
+            raise ValueError(f"precision {precision} is outside 1..{PRECISION_CAP - VERIFY_EXTRA_DIGITS}")
+        if type(pv) not in (int, Fraction) or type(tb) not in (int, Fraction):
+            raise ValueError(f"the valuations must be ints or Fractions, got {pv!r} and {tb!r}")
+    d = cert.field_d
+    if d is not None and type(d) is not int:
+        raise ValueError(f"field_d must be null or an int, got {d!r}")
+    try:
+        K = _field(d)
+    except PrecisionCapError as exc:  # squarefree is not settled within the factoring budget
+        raise ValueError(f"field_d {d} cannot be read: {exc}") from None
+    lambdas, alphas = cert.lambdas, cert.alphas
+    if not (isinstance(lambdas, tuple) and isinstance(alphas, tuple)):
+        raise ValueError("lambdas and alphas must be tuples")
+    if len(lambdas) != len(alphas) + 1:
+        raise ValueError(f"lambdas: expected {len(alphas) + 1} linear-form coefficients")
+    for key, xs in (("alphas", alphas), ("lambdas", lambdas)):
+        for x in xs:
+            try:
+                _algebraic_integer(x, d)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    v = cert.place
+    if v is not None and not (isinstance(v, Place) and v in places_above(K, v.p)):
+        raise ValueError(f"{K} has no place {v}")
+
+
 def certificate_from_json(obj: object) -> Certificate:
-    """Read back a to_json() record, refusing with ValueError a value that
-    is not a dict, a missing key, an unknown status, a field_d that is
-    neither null nor an int, lambdas or alphas that are not lists of
-    strings, that do not parse or that break the scan's input rules, a
-    field_d that trial division cannot show squarefree or not, a place
-    that is not null or a dict with p, splitting, e and f, a place whose p
-    is not an int, a place that places_above(K, p) does not list or whose e
-    and f are not that place's, a prime other than the place's p (null
-    without a place), a precision that is not an int, a valuation that is
-    not null or a rational string, and a nonzero claim with a gap or with a
-    precision outside 1..PRECISION_CAP - VERIFY_EXTRA_DIGITS."""
+    """Read back a to_json() record, refusing with ValueError what is not
+    one (JSON types, keys, parsing), what breaks _check_record or the scan's
+    input rules, a place whose e and f are not its own, and a prime other
+    than the place's p (null without a place)."""
     if not isinstance(obj, dict):
         raise ValueError(f"a certificate record is a JSON object, not {type(obj).__name__}")
     for key in (*(f.name for f in fields(Certificate)), "prime"):  # to_json()'s keys
@@ -145,38 +189,20 @@ def certificate_from_json(obj: object) -> Certificate:
         isinstance(place_obj, dict) and place_obj.keys() >= {"p", "splitting", "e", "f"}
     ):
         raise ValueError(f"the place must be null or an object with p, splitting, e and f, got {place_obj!r}")
-    status = obj["status"]
-    if status not in ("nonzero", "undetermined"):
-        raise ValueError(f"unknown certificate status {status!r}")
-    claim = ("place", "precision", "partial_valuation", "tail_valuation_bound")
-    missing = [key for key in claim if obj[key] is None]
-    if status == "nonzero" and missing:
-        raise ValueError(f"a nonzero certificate needs {', '.join(missing)}")
-    precision = obj["precision"]
-    if precision is not None and type(precision) is not int:
-        raise ValueError(f"precision must be an int, got {precision!r}")
-    if status == "nonzero" and not _claimable_precision(precision):
-        raise ValueError(
-            f"precision {precision} is outside 1..{PRECISION_CAP - VERIFY_EXTRA_DIGITS}"
-        )
-    field_d = obj["field_d"]
-    if field_d is not None and type(field_d) is not int:
-        raise ValueError(f"field_d must be null or an int, got {field_d!r}")
-    try:
-        K = QuadraticField(field_d)
-    except PrecisionCapError as exc:  # squarefree is not settled within the factoring budget
-        raise ValueError(f"field_d {field_d} cannot be read: {exc}") from None
-    alphas = _parsed_list(obj, "alphas", K)
-    lambdas = _parsed_list(obj, "lambdas", K)
-    lambdas, alphas = _validated_form(lambdas, alphas, K.d)
+    d = obj["field_d"]
+    alphas = _parsed_list(obj, "alphas", d)
+    lambdas = _parsed_list(obj, "lambdas", d)
     place, p = None, None
     if place_obj is not None:
-        p, splitting = place_obj["p"], place_obj["splitting"]
+        p = place_obj["p"]
         if type(p) is not int:
             raise ValueError(f"the place's p must be an int, got {p!r}")
-        place = next((v for v in places_above(K, p) if v.splitting == splitting), None)
-        if place is None:
-            raise ValueError(f"{K} has no place {splitting}@{p}")
+        place = Place(p, place_obj["splitting"], d)
+    pv, tb = (_parsed_valuation(obj, key) for key in ("partial_valuation", "tail_valuation_bound"))
+    cert = Certificate(d, lambdas, alphas, place, obj["precision"], pv, tb, obj["status"])
+    _check_record(cert)
+    _validated_form(lambdas, alphas, d)
+    if place is not None:
         for key in ("e", "f"):
             got, want = place_obj[key], getattr(place, key)
             if type(got) is not int or got != want:
@@ -185,16 +211,7 @@ def certificate_from_json(obj: object) -> Certificate:
     if type(prime) is not type(p) or prime != p:
         want = "null without a place" if p is None else f"the place's p, {p}"
         raise ValueError(f"prime must be {want}, got {prime!r}")
-    return Certificate(
-        K.d,
-        lambdas,
-        alphas,
-        place,
-        precision,
-        _parsed_valuation(obj, "partial_valuation"),
-        _parsed_valuation(obj, "tail_valuation_bound"),
-        status,
-    )
+    return cert
 
 
 def certify_nonvanishing(
@@ -209,17 +226,19 @@ def certify_nonvanishing(
     does not vanish.
 
     Scan order is deterministic: ascending primes, places in the canonical
-    order, precision doubling 4, 8, ... up to n_max, and never to a rung no
-    claim could carry (_claimable_precision: 2048 at most).  The first
-    residue whose valuation drops strictly below both the precision and the
-    tail bound is re-verified at four more digits and returned; running out
-    of places yields an "undetermined" certificate with precision n_max,
-    never a claim of vanishing.  Each
-    rung decides on ints, in half-units: twice the valuation against twice
-    the precision and, cross-multiplied, twice the tail bound.  The
-    record's Fractions are built only for a claim.
+    order, precision doubling 4, 8, ... up to n_max (an int, at least 4), and
+    never to a rung no claim could carry (_claimable_precision: 2048 at
+    most).  The first residue whose valuation drops strictly below both the
+    precision and the tail bound is re-verified at four more digits and
+    returned; running out of places yields an "undetermined" certificate
+    with precision n_max, never a claim of vanishing.  Each rung decides on
+    ints, in half-units: twice the valuation against twice the precision
+    and, cross-multiplied, twice the tail bound.  The record's Fractions are
+    built only for a claim.
     """
     lambdas, alphas = _validated_form(lambda_vec, alpha_vec, K.d)
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     for p in prime_range(p_min, p_max):
@@ -240,45 +259,19 @@ def certify_nonvanishing(
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Independently recompute a nonzero certificate at higher precision.
-
-    The place must be one that places_above lists for the field, the
-    precision one that certificate_from_json accepts, and the valuation of
-    the residue must reproduce exactly, below the record's precision and its
-    tail bound, which the recomputed tail bound must reach.  The recomputed
-    valuation, in half-units, meets the record's valuations by
-    cross-multiplied numerators and denominators.  Undetermined
-    certificates claim nothing and verify vacuously; any other status does
-    not verify, and neither does a nonzero certificate with a claim field
-    missing or mistyped (a bool is not a valuation), a field_d that is not
-    null or an int or names no field, or lambdas and alphas that are not
-    tuples of m + 1 and m algebraic integers.  A claim whose re-evaluation
-    is over the term budget of padics is not decided: the evaluator's
-    PrecisionCapError, naming the sum, comes out unchanged.
-    """
-    if cert.status != "nonzero":
-        return cert.status == "undetermined"
-    v = cert.place
-    if not (
-        isinstance(v, Place)
-        and (cert.field_d is None or type(cert.field_d) is int)
-        and _claimable_precision(cert.precision)
-        and type(cert.partial_valuation) in (int, Fraction)
-        and type(cert.tail_valuation_bound) in (int, Fraction)
-        and isinstance(cert.lambdas, tuple)
-        and isinstance(cert.alphas, tuple)
-        and len(cert.lambdas) == len(cert.alphas) + 1
-    ):
-        return False
+    """Whether a certificate keeps the rules of _check_record and, if nonzero,
+    reproduces at higher precision: its residue valuation exactly, below its
+    precision and tail bound, which the recomputed tail bound must reach (in
+    half-units, cross-multiplied).  An undetermined one claims nothing.  A
+    re-evaluation over the term budget of padics is not decided: the
+    evaluator's PrecisionCapError, naming the sum, comes out unchanged."""
     try:
-        if v not in places_above(QuadraticField(cert.field_d), v.p):
-            return False
-        for x in cert.lambdas + cert.alphas:
-            _algebraic_integer(x, cert.field_d)
+        _check_record(cert)
     except (TypeError, ValueError):
         return False
-    precision = cert.precision + VERIFY_EXTRA_DIGITS
-    value, tail = linear_form_value(cert.lambdas, cert.alphas, v, precision)
+    if cert.status != "nonzero":
+        return True
+    value, tail = linear_form_value(cert.lambdas, cert.alphas, cert.place, cert.precision + VERIFY_EXTRA_DIGITS)
     w2 = value.half_valuation()
     # w2 / 2 against the record's int or Fraction valuations, cross-multiplied
     pv, tb = cert.partial_valuation, cert.tail_valuation_bound

@@ -49,14 +49,7 @@ class QuadraticField:
 
     def parse(self, text: str) -> FieldElement:
         """Parse "x" or "x,y" with rational coordinates like "3" or "-1/2"."""
-        parts = [t.strip() for t in text.split(",")]
-        if len(parts) == 1:
-            return self(Fraction(parts[0]))
-        if len(parts) == 2:
-            if self.d is None:
-                raise ValueError("a rational field element has no sqrt coordinate")
-            return self(Fraction(parts[0]), Fraction(parts[1]))
-        raise ValueError(f"cannot parse field element {text!r}")
+        return _parsed(text, self.d)
 
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
@@ -259,6 +252,18 @@ def _reduced(A: int, B: int, c: int, d) -> FieldElement:
     """(A + B*sqrt(d))/c for any c > 0."""
     g = math.gcd(A, B, c)
     return _make(A // g, B // g, c // g, d)
+
+
+def _parsed(text: str, d) -> FieldElement:
+    """QuadraticField(d).parse(text), for a d that is not checked."""
+    parts = [t.strip() for t in text.split(",")]
+    if len(parts) == 1:
+        return FieldElement(Fraction(parts[0]), 0, d)
+    if len(parts) == 2:
+        if d is None:
+            raise ValueError("a rational field element has no sqrt coordinate")
+        return FieldElement(Fraction(parts[0]), Fraction(parts[1]), d)
+    raise ValueError(f"cannot parse field element {text!r}")
 
 
 def _as_elem(value, d) -> FieldElement:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from eulerpade.certify import (
+    VERIFY_EXTRA_DIGITS,
     Certificate,
     certificate_from_json,
     certify_nonvanishing,
@@ -63,20 +64,36 @@ def _split_image(v: Place, x: FieldElement, k: int) -> int:
     return (A + B * v.hensel_root(k)) * pow(c, -1, mod) % mod
 
 
-def _valuation_is(v: Place, x: FieldElement, w: Fraction) -> bool:
-    """Whether w_v(x) == w, for x != 0, from the integral form (A + B*sqrt(d))/c."""
+def _valuation(v: Place, x: FieldElement) -> Fraction:
+    """w_v(x) for x != 0, from the integral form (A + B*sqrt(d))/c."""
     A, B, c = x.integral_form()
     p = v.p
     if v.splitting == "rational":
-        return _vp(A, p) - _vp(c, p) == w
+        return Fraction(_vp(A, p) - _vp(c, p))
     if v.splitting in ("inert", "ramified"):
         # the one place above p: w_v is half of v_p of the norm
-        return Fraction(_vp(A * A - v.d * B * B, p) - 2 * _vp(c, p), 2) == w
-    if w.denominator != 1:
-        return False
-    k = int(w) + _vp(c, p) + 1
-    image = (A + B * v.hensel_root(k)) % p**k
-    return image != 0 and _vp(image, p) - _vp(c, p) == w
+        return Fraction(_vp(A * A - v.d * B * B, p) - 2 * _vp(c, p), 2)
+    # a split place: the image of x mod p^k, for the least k where it is not 0
+    k = 1
+    while not (image := (A + B * v.hensel_root(k)) % p**k):
+        k += 1
+    return Fraction(_vp(image, p) - _vp(c, p))
+
+
+def _tail_bound(cert, precision: int) -> Fraction:
+    """The tail bound of the cut made for `precision`: for each lambda_j != 0
+    (j >= 1), w_v(lambda_j) plus the term bound v_p(N!) + N*w_v(alpha_j) at
+    the least N where that bound reaches the precision; the precision itself
+    when every such lambda_j is 0."""
+    v, bounds = cert.place, []
+    for lam, alpha in zip(cert.lambdas[1:], cert.alphas):
+        if lam:
+            w = _valuation(v, alpha)
+            N = 0
+            while _legendre(v.p, N) + N * w < precision:
+                N += 1
+            bounds.append(_valuation(v, lam) + _legendre(v.p, N) + N * w)
+    return min(bounds, default=Fraction(precision))
 
 
 def _claim_holds(cert) -> bool:
@@ -117,7 +134,7 @@ def _claim_holds(cert) -> bool:
     while _legendre(v.p, M) <= w:
         M += 1
     value = _truncation(lambdas, alphas, M)
-    return bool(value) and _valuation_is(v, value, Fraction(w))
+    return bool(value) and _valuation(v, value) == w
 
 
 def _annihilating_constant(K, v: Place, alpha, k: int) -> int:
@@ -317,3 +334,23 @@ def test_oracle_refuses_a_moved_valuation():
                 assert not _claim_holds(dataclasses.replace(cert, partial_valuation=w))
                 checked += 1
     assert checked >= 10
+
+
+def test_a_verified_tail_bound_is_one_the_oracle_proves():
+    # the scan records the oracle's tail bound at its precision; the check
+    # accepts a tail bound above the claimed valuation only up to the
+    # oracle's at the precision the check evaluates at, so an overstated
+    # tail bound does not verify
+    checked = 0
+    for cert in _seeds():
+        if cert.status != "nonzero":
+            continue
+        assert cert.tail_valuation_bound == _tail_bound(cert, cert.precision)
+        reach = _tail_bound(cert, cert.precision + VERIFY_EXTRA_DIGITS)
+        for delta in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 100):
+            tail = reach + delta
+            if tail > cert.partial_valuation:
+                ok = verify_certificate(dataclasses.replace(cert, tail_valuation_bound=tail))
+                assert ok == (delta <= 0), (cert, tail)
+                checked += 1
+    assert checked >= 30

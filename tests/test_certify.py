@@ -1039,6 +1039,8 @@ _BAD_ENTRIES = {
     "non-integral alpha": lambda cert: {"alphas": (cert.alphas[0], cert.alphas[1] / 3)},
     "lambda that is no number": lambda cert: {"lambdas": (None,) + cert.lambdas[1:]},
     "field_d that names no field": lambda cert: {"field_d": 4},
+    # the reader's "cannot be read", not the factoring budget's PrecisionCapError
+    "field_d past the factoring budget": lambda cert: {"field_d": 10**40 + 1},
 }
 
 
@@ -1138,6 +1140,32 @@ def test_undetermined_record_roundtrip(KQ):
     back = certificate_from_json(cert.to_json())
     assert back == cert and back.status == "undetermined"
     assert verify_certificate(back)
+
+
+@pytest.mark.parametrize("n_max", [64.0, Fraction(9, 2), "64", None])
+def test_an_n_max_that_is_not_an_int_is_refused(KQ, n_max):
+    # an undetermined record carries n_max as its precision, which the
+    # reader takes only as an int and JSON writes only as a number
+    with pytest.raises(ValueError) as refusal:
+        certify_nonvanishing(KQ, [1, 1], [1], 5, 3, n_max=n_max)
+    assert str(refusal.value) == f"n_max must be an int, got {n_max!r}"
+
+
+_BAD_UNDETERMINED = {
+    "field_d as a string": {"field_d": "5"},
+    "lambda that is no number": {"lambdas": (None,)},
+    "field_d that names no field": {"field_d": 4},
+    "precision as a string": {"precision": "64"},
+    "a place the field lacks": {"place": Place(2, "inert", 5)},
+}
+
+
+@pytest.mark.parametrize("change", _BAD_UNDETERMINED.values(), ids=_BAD_UNDETERMINED.keys())
+def test_an_undetermined_certificate_the_reader_refuses_does_not_verify(KQ, change):
+    cert = dataclasses.replace(certify_nonvanishing(KQ, [1, 1], [1], 5, 3), **change)
+    with pytest.raises(ValueError):
+        certificate_from_json(cert.to_json())
+    assert verify_certificate(cert) is False
 
 
 def test_zero_lambda_drops_its_point(KQ):
